@@ -59,10 +59,6 @@ class AblationRow:
         return doc
 
 
-def _modality_of(feature_name: str, feature_modalities: dict[str, str]) -> str:
-    return feature_modalities[feature_name]
-
-
 def enumerate_configs(modalities: list[str],
                       feature_modalities: dict[str, str]) -> list[AblationConfig]:
     """[All] + [No_m ...] + [Only_m ...] in schema modality order."""

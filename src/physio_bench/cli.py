@@ -15,13 +15,20 @@ import json
 import logging
 import os
 import sys
+import types
+import typing
 from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, PhysioBenchError
-from .features import DEFAULT_FEATURE_CONFIG, FeatureConfig, SCHEMA_PRESETS
+from .features import (
+    DEFAULT_FEATURE_CONFIG,
+    SCHEMA_PRESETS,
+    FeatureConfig,
+    FeatureTable,
+)
 from .models import (
     TrainConfig,
     model_from_json,
@@ -196,17 +203,28 @@ def _need_manifest(cfg: RunConfig) -> str:
     return cfg.manifest
 
 
-def _load_matrix(cfg: RunConfig) -> DataMatrix:
+def _load_table(cfg: RunConfig) -> FeatureTable:
+    """The feature table from --features, whose columns must be the
+    configured schema's, or else extracted from --manifest."""
     from .pipeline import extract_table, read_table
 
-    if cfg.features is not None:
-        if not Path(cfg.features).is_file():
-            raise ConfigError(f"feature CSV not found: {cfg.features}")
-        table = read_table(cfg.features, cfg.schema)
-    else:
+    if cfg.features is None:
         table, _ = extract_table(_need_manifest(cfg), cfg.window_policy(),
                                  cfg.schema, cfg.feature_config(), cfg.jobs)
-    return DataMatrix.from_table(table)
+        return table
+    if not Path(cfg.features).is_file():
+        raise ConfigError(f"feature CSV not found: {cfg.features}")
+    table = read_table(cfg.features, cfg.schema)
+    if table.schema.names != SCHEMA_PRESETS[cfg.schema].names:
+        raise ConfigError(
+            f"feature CSV {cfg.features} does not have the columns of schema "
+            f"{cfg.schema!r}; pass the --schema it was extracted with"
+        )
+    return table
+
+
+def _load_matrix(cfg: RunConfig) -> DataMatrix:
+    return DataMatrix.from_table(_load_table(cfg))
 
 
 def cmd_extract(cfg: RunConfig) -> int:
@@ -252,48 +270,44 @@ def cmd_train(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _split_plan(cfg: RunConfig, matrix: DataMatrix):
-    from .evaluation import grouped_kfold, loso_folds, subject_holdout_split
-
-    subjects = sorted(set(matrix.groups))
-    if cfg.split == "holdout":
-        return subject_holdout_split(subjects, cfg.test_fraction, cfg.seed)
-    if cfg.split == "kfold":
-        return grouped_kfold(subjects, cfg.folds, cfg.seed)
-    return loso_folds(subjects)
-
-
-def cmd_evaluate(cfg: RunConfig) -> int:
-    from .evaluation import run_protocol
+def _evaluate(cfg: RunConfig, split: str) -> tuple[dict, Path]:
+    """Run the named split plan on the configured table; writes results.json."""
+    from .evaluation import (
+        grouped_kfold,
+        loso_folds,
+        run_protocol,
+        subject_holdout_split,
+    )
     from .pipeline import dump_json
 
     matrix = _load_matrix(cfg)
-    plan = _split_plan(cfg, matrix)
-    results = run_protocol(matrix, cfg.train_config(), plan, cfg.jobs)
+    subjects = sorted(set(matrix.groups))
+    if split == "holdout":
+        plan = subject_holdout_split(subjects, cfg.test_fraction, cfg.seed)
+    elif split == "kfold":
+        plan = grouped_kfold(subjects, cfg.folds, cfg.seed)
+    else:
+        plan = loso_folds(subjects)
+    results = run_protocol(matrix, cfg.train_config(), plan)
     results["dataset"] = cfg.features or cfg.manifest
     results["model"] = cfg.train_config().to_dict()
     results["provenance"] = cfg.provenance()
     out = _out_dir(cfg)
     (out / "results.json").write_text(dump_json(results))
     log.info("evaluate wrote %s", out / "results.json")
+    return results, out
+
+
+def cmd_evaluate(cfg: RunConfig) -> int:
+    _evaluate(cfg, cfg.split)
     return EXIT_OK
 
 
 def cmd_loso(cfg: RunConfig) -> int:
-    from .evaluation import loso_folds, run_protocol
-    from .pipeline import dump_json
+    from .pipeline import provenance_line
 
-    matrix = _load_matrix(cfg)
-    plan = loso_folds(sorted(set(matrix.groups)))
-    results = run_protocol(matrix, cfg.train_config(), plan, cfg.jobs)
-    results["dataset"] = cfg.features or cfg.manifest
-    results["model"] = cfg.train_config().to_dict()
-    results["provenance"] = cfg.provenance()
-    out = _out_dir(cfg)
-    (out / "results.json").write_text(dump_json(results))
-
-    lines = ["# " + json.dumps(cfg.provenance(), sort_keys=True),
-             "subject_id,n_windows,accuracy"]
+    results, out = _evaluate(cfg, "loso")
+    lines = ["subject_id,n_windows,accuracy"]
     accs = []
     for fold in results["per_fold"]:
         sid = fold["test_subjects"][0]
@@ -301,22 +315,22 @@ def cmd_loso(cfg: RunConfig) -> int:
         accs.append(acc)
         lines.append(f"{sid},{fold['n_windows']},{format(acc, '.9g')}")
     lines.append(f"mean,,{format(float(np.mean(accs)), '.9g')}")
-    (out / "loso_subjects.csv").write_text("\n".join(lines) + "\n")
+    (out / "loso_subjects.csv").write_text(provenance_line(cfg.provenance())
+                                           + "\n".join(lines) + "\n")
     log.info("loso wrote %s", out / "loso_subjects.csv")
     return EXIT_OK
 
 
 def cmd_ablate(cfg: RunConfig) -> int:
     from .ablation import ablation_csv, run_ablation
-    from .pipeline import dump_json
+    from .pipeline import dump_json, provenance_line
 
     matrix = _load_matrix(cfg)
     rows = run_ablation(matrix, cfg.train_config(), cfg.folds, cfg.seed,
                         cfg.alpha, cfg.correction)
     out = _out_dir(cfg)
-    csv_text = "# " + json.dumps(cfg.provenance(), sort_keys=True) + "\n" \
-        + ablation_csv(rows)
-    (out / "ablation.csv").write_text(csv_text)
+    (out / "ablation.csv").write_text(provenance_line(cfg.provenance())
+                                      + ablation_csv(rows))
     doc = {"provenance": cfg.provenance(), "rows": [r.to_dict() for r in rows]}
     (out / "ablation.json").write_text(dump_json(doc))
     log.info("ablate wrote %d rows to %s", len(rows), out / "ablation.csv")
@@ -330,8 +344,7 @@ def cmd_explain(cfg: RunConfig) -> int:
         dump_json,
         explain_table,
         importance_doc,
-        read_table,
-        extract_table,
+        provenance_line,
     )
 
     if cfg.model_path is None:
@@ -344,14 +357,10 @@ def cmd_explain(cfg: RunConfig) -> int:
             f"SHAP explanations support tree ensembles and the linear model, "
             f"not {model.kind!r}"
         )
-    if cfg.features is not None:
-        table = read_table(cfg.features, cfg.schema)
-    else:
-        table, _ = extract_table(_need_manifest(cfg), cfg.window_policy(),
-                                 cfg.schema, cfg.feature_config(), cfg.jobs)
+    table = _load_table(cfg)
     attributions, audit = explain_table(model, table)
     out = _out_dir(cfg)
-    prov_line = "# " + json.dumps(cfg.provenance(), sort_keys=True) + "\n"
+    prov_line = provenance_line(cfg.provenance())
     (out / "attributions.csv").write_text(prov_line + attributions_csv(attributions))
     (out / "importance.json").write_text(
         dump_json(importance_doc(attributions, audit, cfg.provenance()))
@@ -401,7 +410,20 @@ COMMANDS = {
 }
 
 
+def _flag_type(hint):
+    """argparse converter for a RunConfig annotation: the type inside
+    `X | None`, and comma splitting for a list of strings."""
+    if isinstance(hint, types.UnionType):
+        (hint,) = [t for t in typing.get_args(hint) if t is not type(None)]
+    if typing.get_origin(hint) is list:
+        return lambda s: s.split(",")
+    return hint
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command; each takes --config and one flag per
+    RunConfig field, named after it with '_' as '-'."""
+    hints = typing.get_type_hints(RunConfig)
     parser = argparse.ArgumentParser(
         prog="physio-bench",
         description="Wearable physiology pipeline: ingestion, features, "
@@ -411,45 +433,13 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config document")
-        p.add_argument("--manifest")
-        p.add_argument("--features")
-        p.add_argument("--model-path", dest="model_path")
-        p.add_argument("--window-s", dest="window_s", type=float)
-        p.add_argument("--stride-s", dest="stride_s", type=float)
-        p.add_argument("--min-fill", dest="min_fill", type=float)
-        p.add_argument("--label-rule", dest="label_rule")
-        p.add_argument("--required", type=lambda s: s.split(","))
-        p.add_argument("--schema")
-        p.add_argument("--scr-min-prominence", dest="scr_min_prominence", type=float)
-        p.add_argument("--scr-min-distance-s", dest="scr_min_distance_s", type=float)
-        p.add_argument("--bvp-min-rr-s", dest="bvp_min_rr_s", type=float)
-        p.add_argument("--bvp-prominence-factor", dest="bvp_prominence_factor",
-                       type=float)
-        p.add_argument("--model")
-        p.add_argument("--trees", type=int)
-        p.add_argument("--learning-rate", dest="learning_rate", type=float)
-        p.add_argument("--max-depth", dest="max_depth", type=int)
-        p.add_argument("--max-leaves", dest="max_leaves", type=int)
-        p.add_argument("--growth")
-        p.add_argument("--split-mode", dest="split_mode")
-        p.add_argument("--reg-lambda", dest="reg_lambda", type=float)
-        p.add_argument("--min-samples-leaf", dest="min_samples_leaf", type=int)
-        p.add_argument("--knn-k", dest="knn_k", type=int)
-        p.add_argument("--svm-c", dest="svm_c", type=float)
-        p.add_argument("--svm-sigma", dest="svm_sigma", type=float)
-        p.add_argument("--l2", type=float)
-        p.add_argument("--tune", action="store_const", const=True)
-        p.add_argument("--split")
-        p.add_argument("--test-fraction", dest="test_fraction", type=float)
-        p.add_argument("--folds", type=int)
-        p.add_argument("--correction")
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--preset")
-        p.add_argument("--n-subjects", dest="n_subjects", type=int)
-        p.add_argument("--duration-s", dest="duration_s", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--jobs", type=int)
-        p.add_argument("--out")
+        for f in fields(RunConfig):
+            flag = "--" + f.name.replace("_", "-")
+            kind = _flag_type(hints[f.name])
+            if kind is bool:
+                p.add_argument(flag, action="store_const", const=True)
+            else:
+                p.add_argument(flag, type=kind)
     return parser
 
 

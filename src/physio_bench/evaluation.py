@@ -232,43 +232,34 @@ def evaluate_fold(matrix, model_cfg, train_subjects, test_subjects):
     }
 
 
-def _fold_auc(record, classes) -> float | None:
+def _auc(scores, y_true, classes) -> float | None:
+    """Binary AUC of the second class's score column, or macro one-vs-rest
+    AUC for three or more classes; None when a class is absent."""
     try:
         if len(classes) == 2:
-            y = (np.asarray([str(v) for v in record["y_true"]], dtype=object)
+            y = (np.asarray([str(v) for v in y_true], dtype=object)
                  == classes[1]).astype(int)
-            return roc_auc(record["scores"][:, 1], y)
-        return roc_auc_macro_ovr(record["scores"], record["y_true"], classes)
+            return roc_auc(scores[:, 1], y)
+        return roc_auc_macro_ovr(scores, y_true, classes)
     except SingleClassPresent:
         return None
 
 
-def run_protocol(matrix, model_cfg, plan: SplitPlan, jobs: int = 1) -> dict:
+def run_protocol(matrix, model_cfg, plan: SplitPlan) -> dict:
     """Run a split plan fold by fold and aggregate two ways: mean +/- std
     across folds and pooled-prediction metrics."""
-    from concurrent.futures import ThreadPoolExecutor
-
     from .models.base import class_order
 
     classes = class_order(matrix.labels)
-
-    def work(fold):
-        return evaluate_fold(matrix, model_cfg, fold[0], fold[1])
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(work, plan.folds))
-    else:
-        records = [work(f) for f in plan.folds]
-
     per_fold = []
     pooled_true: list = []
     pooled_pred: list = []
     pooled_scores = []
-    for rec in records:
+    for train_subjects, test_subjects in plan.folds:
+        rec = evaluate_fold(matrix, model_cfg, train_subjects, test_subjects)
         cm = confusion_matrix(rec["y_true"], rec["y_pred"], classes)
         rep = classification_metrics(cm)
-        rep.auc = _fold_auc(rec, classes)
+        rep.auc = _auc(rec["scores"], rec["y_true"], classes)
         per_fold.append({
             "test_subjects": rec["test_subjects"],
             "n_windows": int(cm.total),
@@ -280,16 +271,7 @@ def run_protocol(matrix, model_cfg, plan: SplitPlan, jobs: int = 1) -> dict:
 
     pooled_cm = confusion_matrix(pooled_true, pooled_pred, classes)
     pooled = classification_metrics(pooled_cm)
-    pooled_scores = np.vstack(pooled_scores)
-    try:
-        if len(classes) == 2:
-            y = (np.asarray([str(v) for v in pooled_true], dtype=object)
-                 == classes[1]).astype(int)
-            pooled.auc = roc_auc(pooled_scores[:, 1], y)
-        else:
-            pooled.auc = roc_auc_macro_ovr(pooled_scores, pooled_true, classes)
-    except SingleClassPresent:
-        pooled.auc = None
+    pooled.auc = _auc(np.vstack(pooled_scores), pooled_true, classes)
 
     def fold_mean_std(key):
         vals = [f["metrics"][key] for f in per_fold if f["metrics"][key] is not None]

@@ -49,16 +49,20 @@ def dump_json(doc: dict) -> str:
     return json.dumps(jsonable(doc), indent=1, sort_keys=True) + "\n"
 
 
-def load_recordings(manifest_path: str | Path, jobs: int = 1) -> list[Recording]:
-    entries, base = load_manifest(manifest_path)
-
-    def load(entry):
-        return load_session(base / entry.path, entry)
-
+def _map_sessions(fn, entries, jobs: int) -> list:
+    """`fn` over manifest entries, results in manifest order. With
+    `jobs` > 1 the sessions are loaded and windowed on that many threads;
+    this is the only place `--jobs` runs anything concurrently."""
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(load, entries))
-    return [load(e) for e in entries]
+            return list(pool.map(fn, entries))
+    return [fn(e) for e in entries]
+
+
+def load_recordings(manifest_path: str | Path, jobs: int = 1) -> list[Recording]:
+    entries, base = load_manifest(manifest_path)
+    return _map_sessions(lambda entry: load_session(base / entry.path, entry),
+                        entries, jobs)
 
 
 def extract_table(manifest_path: str | Path, policy: WindowPolicy,
@@ -96,15 +100,9 @@ def extract_table(manifest_path: str | Path, policy: WindowPolicy,
         }
         return entry.subject_id, windows, info
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(process, entries))
-    else:
-        results = [process(e) for e in entries]
-
     windows = []
     sessions_report = {}
-    for subject_id, wlist, info in results:
+    for subject_id, wlist, info in _map_sessions(process, entries, jobs):
         sessions_report[subject_id] = info
         if wlist:
             windows.extend(wlist)
@@ -117,9 +115,13 @@ def extract_table(manifest_path: str | Path, policy: WindowPolicy,
     return table, report
 
 
+def provenance_line(provenance: dict) -> str:
+    """The `# {...}` comment line that heads every CSV artifact."""
+    return "# " + json.dumps(provenance, sort_keys=True) + "\n"
+
+
 def write_table(path: Path, table: FeatureTable, provenance: dict) -> None:
-    text = "# " + json.dumps(jsonable(provenance), sort_keys=True) + "\n"
-    path.write_text(text + table_to_csv(table))
+    path.write_text(provenance_line(jsonable(provenance)) + table_to_csv(table))
 
 
 def read_table(path: str | Path, schema_name: str = "custom") -> FeatureTable:

@@ -1,16 +1,35 @@
 """CLI contract: commands, exit codes, error JSON, config precedence."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from physio_bench.cli import main
+from physio_bench.cli import RunConfig, build_parser, load_config, main
+from physio_bench.features import SCHEMA_PRESETS
 
 
 def _run(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     return main(argv)
+
+
+def _error(capfd) -> dict:
+    return json.loads(capfd.readouterr().err.strip().splitlines()[-1])["error"]
+
+
+def _feature_csv(path, schema, n_subjects=4, per_subject=10):
+    """A random two-class feature table with the columns of `schema`."""
+    names = SCHEMA_PRESETS[schema].names
+    rng = np.random.default_rng(0)
+    lines = ["subject_id,window_start,label," + ",".join(names)]
+    for i in range(n_subjects * per_subject):
+        x = rng.normal(size=len(names))
+        label = "stress" if x[0] + x[1] > 0 else "baseline"
+        lines.append(f"s{i % n_subjects},{i * 15.0},{label},"
+                     + ",".join(format(v, ".6g") for v in x))
+    path.write_text("\n".join(lines) + "\n")
 
 
 @pytest.fixture()
@@ -121,6 +140,49 @@ class TestEvaluateLoso:
         doc = json.loads(capfd.readouterr().err.strip().splitlines()[-1])
         assert doc["error"]["type"] == "SingleClass"
 
+    def test_loso_equals_evaluate_split_loso(self, tmp_path, monkeypatch):
+        _feature_csv(tmp_path / "t.csv", "stress_16")
+        common = ["--features", "t.csv", "--trees", "5", "--seed", "3"]
+        assert _run(tmp_path, monkeypatch, ["loso", "--out", "a"] + common) == 0
+        assert _run(tmp_path, monkeypatch,
+                    ["evaluate", "--split", "loso", "--out", "b"] + common) == 0
+        a = json.loads((tmp_path / "a/results.json").read_text())
+        b = json.loads((tmp_path / "b/results.json").read_text())
+        assert a["split"] == b["split"] == "loso"
+        assert len(a["per_fold"]) == 4
+        for key in ("per_fold", "aggregate", "confusion"):
+            assert a[key] == b[key], key
+
+
+class TestFeatureTableLoader:
+    def test_explain_missing_features_is_config_error(self, tmp_path, monkeypatch,
+                                                      capfd):
+        _feature_csv(tmp_path / "t.csv", "stress_16")
+        assert _run(tmp_path, monkeypatch, [
+            "train", "--features", "t.csv", "--model", "logistic",
+            "--out", "run"]) == 0
+        code = _run(tmp_path, monkeypatch, [
+            "explain", "--model-path", "run/model.json", "--features",
+            "missing.csv", "--out", "run"])
+        assert code == 2
+        err = _error(capfd)
+        assert err["type"] == "ConfigError"
+        assert "missing.csv" in err["message"]
+
+    def test_features_of_another_schema_are_config_error(self, tmp_path,
+                                                         monkeypatch, capfd):
+        _feature_csv(tmp_path / "cog.csv", "cogload_16")
+        argv = ["loso", "--features", "cog.csv", "--model", "logistic",
+                "--out", "run"]
+        assert _run(tmp_path, monkeypatch, argv) == 2
+        err = _error(capfd)
+        assert err["type"] == "ConfigError"
+        assert "stress_16" in err["message"]
+        assert not (tmp_path / "run/results.json").exists()
+        assert _run(tmp_path, monkeypatch, argv + ["--schema", "cogload_16"]) == 0
+        doc = json.loads((tmp_path / "run/results.json").read_text())
+        assert doc["provenance"]["config"]["schema"] == "cogload_16"
+
 
 class TestTrainExplain:
     def test_train_then_explain_tree_model(self, synth_data, tmp_path, monkeypatch):
@@ -161,6 +223,65 @@ class TestTrainExplain:
         assert code == 2
         doc = json.loads(capfd.readouterr().err.strip().splitlines()[-1])
         assert "knn" in doc["error"]["message"]
+
+
+#: One flag value per RunConfig field (None: a flag that takes no value),
+#: and the field value it must produce, type included.
+FLAG_VALUES = {
+    "manifest": ("m.json", "m.json"),
+    "features": ("f.csv", "f.csv"),
+    "model_path": ("model.json", "model.json"),
+    "window_s": ("20.5", 20.5),
+    "stride_s": ("10", 10.0),
+    "min_fill": ("0.5", 0.5),
+    "label_rule": ("majority", "majority"),
+    "required": ("EDA,TEMP", ["EDA", "TEMP"]),
+    "schema": ("cogload_16", "cogload_16"),
+    "scr_min_prominence": ("0.02", 0.02),
+    "scr_min_distance_s": ("2", 2.0),
+    "bvp_min_rr_s": ("0.4", 0.4),
+    "bvp_prominence_factor": ("0.6", 0.6),
+    "model": ("svm", "svm"),
+    "trees": ("7", 7),
+    "learning_rate": ("0.3", 0.3),
+    "max_depth": ("4", 4),
+    "max_leaves": ("9", 9),
+    "growth": ("leaf", "leaf"),
+    "split_mode": ("hist", "hist"),
+    "reg_lambda": ("2", 2.0),
+    "min_samples_leaf": ("3", 3),
+    "knn_k": ("7", 7),
+    "svm_c": ("2.5", 2.5),
+    "svm_sigma": ("0.75", 0.75),
+    "l2": ("0.5", 0.5),
+    "tune": (None, True),
+    "split": ("kfold", "kfold"),
+    "test_fraction": ("0.3", 0.3),
+    "folds": ("4", 4),
+    "correction": ("bonferroni", "bonferroni"),
+    "alpha": ("0.01", 0.01),
+    "preset": ("stress3", "stress3"),
+    "n_subjects": ("4", 4),
+    "duration_s": ("120", 120.0),
+    "seed": ("11", 11),
+    "out": ("elsewhere", "elsewhere"),
+    "jobs": ("3", 3),
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
+def test_flag_sets_its_field_with_its_type(name):
+    text, expected = FLAG_VALUES[name]
+    assert getattr(RunConfig(), name) != expected
+    argv = ["evaluate", "--" + name.replace("_", "-")]
+    args = build_parser().parse_args(argv + ([] if text is None else [text]))
+    cfg = load_config(None, {k: v for k, v in vars(args).items()
+                             if k not in ("command", "config")})
+    value = getattr(cfg, name)
+    assert type(value) is type(expected)
+    assert value == expected
+    others = {f.name for f in fields(RunConfig)} - {name}
+    assert all(getattr(cfg, o) == getattr(RunConfig(), o) for o in others)
 
 
 class TestConfigHandling:

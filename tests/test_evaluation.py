@@ -227,18 +227,3 @@ class TestRunProtocol:
         assert len(results["per_fold"]) == 6
         total = np.array(results["confusion"]).sum()
         assert total == n
-
-    def test_jobs_do_not_change_results(self):
-        from physio_bench.models import DataMatrix, TrainConfig
-
-        rng = np.random.default_rng(9)
-        n = 60
-        X = rng.normal(size=(n, 3))
-        y = np.where(X[:, 1] > 0, "hi", "lo").astype(object)
-        groups = np.array([f"s{i % 5}" for i in range(n)], dtype=object)
-        data = DataMatrix(X, y, groups, ["f0", "f1", "f2"])
-        plan = ev.grouped_kfold(sorted(set(groups)), 5, seed=1)
-        cfg = TrainConfig(kind="boosting", n_trees=10)
-        r1 = ev.run_protocol(data, cfg, plan, jobs=1)
-        r8 = ev.run_protocol(data, cfg, plan, jobs=8)
-        assert r1 == r8
