@@ -217,12 +217,18 @@ def roc_auc_macro_ovr(scores: np.ndarray, labels, classes: list[str]) -> float:
 def evaluate_fold(matrix, model_cfg, train_subjects, test_subjects):
     """Train on one side of a fold, score the other; returns fold record."""
     from .models import train_model
+    from .models.base import argmax_class
 
     train = matrix.subset(matrix.rows_for_subjects(train_subjects))
     test = matrix.subset(matrix.rows_for_subjects(test_subjects))
     model = train_model(train, model_cfg)
-    y_pred = model.predict_class(test.X)
     scores = model.predict_scores(test.X)
+    # Every family but k-NN predicts the argmax of its scores; k-NN breaks
+    # vote ties by neighbor distance.
+    if model.kind == "knn":
+        y_pred = model.predict_class(test.X)
+    else:
+        y_pred = argmax_class(scores, model.classes)
     return {
         "test_subjects": sorted(test_subjects),
         "y_true": test.labels,

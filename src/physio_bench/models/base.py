@@ -156,10 +156,11 @@ class TrainConfig:
             raise ConfigError("growth must be 'depth' or 'leaf'")
         if self.splits not in ("exact", "hist"):
             raise ConfigError("splits must be 'exact' or 'hist'")
+        # `not x > 0` also rejects NaN, which every comparison fails.
         for name in ("learning_rate", "reg_lambda", "svm_c", "l2"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
-        if self.svm_sigma is not None and self.svm_sigma <= 0:
+        if self.svm_sigma is not None and not self.svm_sigma > 0:
             raise ConfigError("svm_sigma must be positive")
 
     @property

@@ -10,6 +10,17 @@ probability) and assigns leaves their Newton step, sum(residual) /
 leaf-wise under a leaf-count limit, with exact or 64-bin histogram split
 search.
 
+Split search is one splitter object per boosting fit, shared by every
+round and class since X never changes. Exact mode presorts each column
+once (stable argsort) and carries every node's per-feature row orders
+down the tree by stable partition, so a node's orders equal a stable
+argsort of its own rows without sorting again (Chen & Guestrin, KDD 2016).
+Histogram mode bins all features of a node with one bincount over
+feature-offset codes (Ke et al., NeurIPS 2017). Either way a node is
+scored in a single pass over a (features, cuts) array of cumulative
+gradient and hessian sums; ties go to the first maximal cut of a feature,
+then to the first feature in column order.
+
 Trees store per-node training cover so path-dependent SHAP can compute
 conditional expectations without a background sample.
 """
@@ -149,101 +160,140 @@ class _TreeBuilder:
 
 
 # --- split search -----------------------------------------------------------
+#
+# A splitter serves every regression tree of one boosting fit. It hands a
+# node's rows around as a pair (idx, R): idx lists the rows in ascending
+# order, R is the splitter's own state for them. `best_split` scores every
+# feature of the node in one pass; `partition` returns the children's pairs.
 
 
 def _newton_value(g_sum: float, h_sum: float, lam: float) -> float:
     return g_sum / (h_sum + lam)
 
 
-def _best_split_exact(X, g, h, idx, features, lam, min_leaf):
-    """Best (gain, feature, threshold) over exact sorted split points."""
-    G, H = g[idx].sum(), h[idx].sum()
+def _split_gains(GL, HL, G, H, lam, valid) -> np.ndarray:
+    """Newton gain of every (feature, cut), -inf where `valid` is False."""
     parent = G * G / (H + lam)
-    best = (MIN_GAIN, -1, 0.0)
-    for j in features:
-        x = X[idx, j]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        gl = np.cumsum(g[idx][order])
-        hl = np.cumsum(h[idx][order])
-        # split after position i: left = first i+1 rows
-        n = len(idx)
-        pos = np.arange(n - 1)
-        valid = xs[:-1] < xs[1:]
-        if min_leaf > 1:
-            valid &= (pos + 1 >= min_leaf) & (n - pos - 1 >= min_leaf)
-        if not valid.any():
-            continue
-        GL, HL = gl[:-1][valid], hl[:-1][valid]
-        GR, HR = G - GL, H - HL
+    GR, HR = G - GL, H - HL
+    with np.errstate(divide="ignore", invalid="ignore"):
         gains = 0.5 * (GL * GL / (HL + lam) + GR * GR / (HR + lam) - parent)
-        k = int(np.argmax(gains))
-        if gains[k] > best[0]:
-            cut = np.flatnonzero(valid)[k]
-            thr = 0.5 * (xs[cut] + xs[cut + 1])
-            best = (float(gains[k]), j, float(thr))
-    return best
+    return np.where(valid, gains, -np.inf)
+
+
+def _first_best(gains: np.ndarray) -> tuple[float, int, int]:
+    """(gain, feature, cut) of a (d, cuts) gain array: each feature's first
+    maximal cut, then the first feature whose gain is strictly greater than
+    MIN_GAIN and than every earlier feature's. Feature -1: no split."""
+    if gains.size == 0:
+        return MIN_GAIN, -1, 0
+    cuts = np.argmax(gains, axis=1)
+    best = gains[np.arange(len(cuts)), cuts]
+    best = np.where(best > MIN_GAIN, best, -np.inf)
+    j = int(np.argmax(best))
+    if not best[j] > MIN_GAIN:
+        return MIN_GAIN, -1, 0
+    return float(best[j]), j, int(cuts[j])
+
+
+class _Presorted:
+    """Exact greedy search over one presort per fit (XGBoost's pre-sorted
+    algorithm). R[j] lists the node's rows in ascending X[:, j], ties by
+    row index: what a stable argsort of the node's column gives."""
+
+    def __init__(self, X: np.ndarray):
+        self.Xt = np.ascontiguousarray(X.T)
+        self.order = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
+
+    def root(self):
+        return np.arange(self.Xt.shape[1]), self.order
+
+    def best_split(self, rows, g, h, lam, min_leaf):
+        idx, R = rows
+        n = len(idx)
+        xs = np.take_along_axis(self.Xt, R, axis=1)
+        # cut after position i: left = first i+1 rows of each feature's order
+        GL = np.cumsum(g[R], axis=1)[:, :-1]
+        HL = np.cumsum(h[R], axis=1)[:, :-1]
+        valid = xs[:, :-1] < xs[:, 1:]
+        if min_leaf > 1:
+            pos = np.arange(1, n)
+            valid &= (pos >= min_leaf) & (n - pos >= min_leaf)
+        gains = _split_gains(GL, HL, g[idx].sum(), h[idx].sum(), lam, valid)
+        gain, j, cut = _first_best(gains)
+        if j < 0:
+            return gain, j, 0.0
+        return gain, j, float(0.5 * (xs[j, cut] + xs[j, cut + 1]))
+
+    def partition(self, rows, j, thr):
+        idx, R = rows
+        left = self.Xt[j] <= thr
+        m, mR = left[idx], left[R]
+        n_left = int(m.sum())
+        return ((idx[m], R[mR].reshape(len(R), n_left)),
+                (idx[~m], R[~mR].reshape(len(R), len(idx) - n_left)))
 
 
 class _Histogram:
-    """Global quantile bin edges shared by every node of a boosting fit."""
+    """Global quantile bin edges shared by every node of a boosting fit.
+    Each feature's codes are offset by j * nb, so one bincount bins a node
+    for all features. A feature with fewer edges than nb - 1 is padded;
+    its padding cuts hold every row on the left, so NL < n rejects them."""
 
     def __init__(self, X: np.ndarray, n_bins: int):
-        self.edges: list[np.ndarray] = []
-        codes = np.empty(X.shape, dtype=np.intp)
+        self.X = X
+        d = X.shape[1]
         qs = np.linspace(0, 1, n_bins + 1)[1:-1]
-        for j in range(X.shape[1]):
-            edges = np.unique(np.quantile(X[:, j], qs))
-            self.edges.append(edges)
-            codes[:, j] = np.searchsorted(edges, X[:, j], side="left")
+        edges = [np.unique(np.quantile(X[:, j], qs)) for j in range(d)]
+        self.nb = 1 + max((len(e) for e in edges), default=0)
+        self.edges = np.zeros((d, self.nb - 1))
+        codes = np.empty(X.shape, dtype=np.intp)
+        for j, e in enumerate(edges):
+            self.edges[j, :len(e)] = e
+            codes[:, j] = np.searchsorted(e, X[:, j], side="left") + j * self.nb
         self.codes = codes
 
-    def best_split(self, X, g, h, idx, features, lam, min_leaf):
-        G, H = g[idx].sum(), h[idx].sum()
-        parent = G * G / (H + lam)
-        best = (MIN_GAIN, -1, 0.0)
-        for j in features:
-            edges = self.edges[j]
-            if len(edges) == 0:
-                continue
-            nb = len(edges) + 1
-            c = self.codes[idx, j]
-            gb = np.bincount(c, weights=g[idx], minlength=nb)
-            hb = np.bincount(c, weights=h[idx], minlength=nb)
-            cb = np.bincount(c, minlength=nb)
-            GL = np.cumsum(gb)[:-1]
-            HL = np.cumsum(hb)[:-1]
-            NL = np.cumsum(cb)[:-1]
-            n = len(idx)
-            valid = (NL >= min_leaf) & (n - NL >= min_leaf) & (NL > 0) & (NL < n)
-            if not valid.any():
-                continue
-            GR, HR = G - GL, H - HL
-            gains = np.where(
-                valid,
-                0.5 * (GL * GL / (HL + lam) + GR * GR / (HR + lam) - parent),
-                -np.inf,
-            )
-            k = int(np.argmax(gains))
-            if gains[k] > best[0]:
-                best = (float(gains[k]), j, float(edges[k]))
-        return best
+    def root(self):
+        return np.arange(self.X.shape[0]), None
+
+    def best_split(self, rows, g, h, lam, min_leaf):
+        idx, _ = rows
+        n = len(idx)
+        d, nb = self.edges.shape[0], self.nb
+        c = self.codes[idx].ravel()
+        gb = np.bincount(c, weights=np.repeat(g[idx], d), minlength=d * nb)
+        hb = np.bincount(c, weights=np.repeat(h[idx], d), minlength=d * nb)
+        cb = np.bincount(c, minlength=d * nb)
+        GL = np.cumsum(gb.reshape(d, nb), axis=1)[:, :-1]
+        HL = np.cumsum(hb.reshape(d, nb), axis=1)[:, :-1]
+        NL = np.cumsum(cb.reshape(d, nb), axis=1)[:, :-1]
+        valid = (NL >= min_leaf) & (n - NL >= min_leaf) & (NL > 0) & (NL < n)
+        gains = _split_gains(GL, HL, g[idx].sum(), h[idx].sum(), lam, valid)
+        gain, j, cut = _first_best(gains)
+        if j < 0:
+            return gain, j, 0.0
+        return gain, j, float(self.edges[j, cut])
+
+    def partition(self, rows, j, thr):
+        idx, _ = rows
+        m = self.X[idx, j] <= thr
+        return (idx[m], None), (idx[~m], None)
+
+
+def _splitter(X: np.ndarray, cfg: TrainConfig):
+    return _Histogram(X, cfg.n_bins) if cfg.splits == "hist" else _Presorted(X)
 
 
 def grow_regression_tree(X, g, h, cfg: TrainConfig,
-                         hist: _Histogram | None = None) -> tuple[Tree, np.ndarray]:
+                         splitter=None) -> tuple[Tree, np.ndarray]:
     """Newton regression tree on (gradient, hessian); returns the tree and
-    each training row's fitted leaf value."""
+    each training row's fitted leaf value. `splitter` is built from X when
+    None; a boosting fit passes one splitter to all of its trees."""
+    if splitter is None:
+        splitter = _splitter(X, cfg)
     lam = cfg.reg_lambda
     min_leaf = cfg.resolved_min_leaf
-    features = range(X.shape[1])
     builder = _TreeBuilder(n_out=1)
     fitted = np.empty(len(g))
-
-    def finder(idx):
-        if hist is not None:
-            return hist.best_split(X, g, h, idx, features, lam, min_leaf)
-        return _best_split_exact(X, g, h, idx, features, lam, min_leaf)
 
     def make_leaf(node, idx):
         w = _newton_value(g[idx].sum(), h[idx].sum(), lam)
@@ -252,53 +302,54 @@ def grow_regression_tree(X, g, h, cfg: TrainConfig,
 
     max_depth = cfg.resolved_max_depth
     if cfg.growth == "depth":
-        def recurse(idx, depth) -> int:
+        def recurse(rows, depth) -> int:
+            idx = rows[0]
             node = builder.add(len(idx))
             limit = max_depth is not None and depth >= max_depth
             if limit or len(idx) < 2 * min_leaf:
                 make_leaf(node, idx)
                 return node
-            gain, j, thr = finder(idx)
+            gain, j, thr = splitter.best_split(rows, g, h, lam, min_leaf)
             if j < 0:
                 make_leaf(node, idx)
                 return node
-            mask = X[idx, j] <= thr
-            l = recurse(idx[mask], depth + 1)
-            r = recurse(idx[~mask], depth + 1)
+            left, right = splitter.partition(rows, j, thr)
+            l = recurse(left, depth + 1)
+            r = recurse(right, depth + 1)
             builder.split(node, j, thr, l, r)
             return node
 
-        recurse(np.arange(len(g)), 0)
+        recurse(splitter.root(), 0)
     else:
         # Leaf-wise: repeatedly split the frontier leaf with the best gain.
-        root_idx = np.arange(len(g))
-        root = builder.add(len(root_idx))
-        make_leaf(root, root_idx)
+        root_rows = splitter.root()
+        root = builder.add(len(root_rows[0]))
+        make_leaf(root, root_rows[0])
         heap: list = []
         counter = 0
 
-        def push(node, idx):
+        def push(node, rows):
             nonlocal counter
-            if len(idx) < 2 * min_leaf:
+            if len(rows[0]) < 2 * min_leaf:
                 return
-            gain, j, thr = finder(idx)
+            gain, j, thr = splitter.best_split(rows, g, h, lam, min_leaf)
             if j >= 0:
-                heapq.heappush(heap, (-gain, counter, node, idx, j, thr))
+                heapq.heappush(heap, (-gain, counter, node, rows, j, thr))
                 counter += 1
 
-        push(root, root_idx)
+        push(root, root_rows)
         n_leaves = 1
         while heap and n_leaves < cfg.max_leaves:
-            _, _, node, idx, j, thr = heapq.heappop(heap)
-            mask = X[idx, j] <= thr
-            l = builder.add(int(mask.sum()))
-            r = builder.add(int((~mask).sum()))
-            make_leaf(l, idx[mask])
-            make_leaf(r, idx[~mask])
+            _, _, node, rows, j, thr = heapq.heappop(heap)
+            left, right = splitter.partition(rows, j, thr)
+            l = builder.add(len(left[0]))
+            r = builder.add(len(right[0]))
+            make_leaf(l, left[0])
+            make_leaf(r, right[0])
             builder.split(node, j, thr, l, r)
             n_leaves += 1
-            push(l, idx[mask])
-            push(r, idx[~mask])
+            push(l, left)
+            push(r, right)
 
     return builder.freeze(), fitted
 
@@ -479,7 +530,7 @@ def train_tree_ensemble(data: DataMatrix, cfg: TrainConfig) -> TreeEnsembleModel
     scores = np.tile(base, (n, 1))
     Y = np.zeros((n, K))
     Y[np.arange(n), y] = 1.0
-    hist = _Histogram(X, cfg.n_bins) if cfg.splits == "hist" else None
+    splitter = _splitter(X, cfg)   # one presort or binning serves every tree
 
     trees: list[Tree] = []
     tree_class: list[int] = []
@@ -488,7 +539,7 @@ def train_tree_ensemble(data: DataMatrix, cfg: TrainConfig) -> TreeEnsembleModel
         for k in range(K):
             g = Y[:, k] - P[:, k]          # residual = negative gradient
             h = P[:, k] * (1.0 - P[:, k])
-            tree, fitted = grow_regression_tree(X, g, h, cfg, hist)
+            tree, fitted = grow_regression_tree(X, g, h, cfg, splitter)
             scores[:, k] += cfg.learning_rate * fitted
             trees.append(tree)
             tree_class.append(k)

@@ -116,12 +116,13 @@ def extract_table(manifest_path: str | Path, policy: WindowPolicy,
 
 
 def provenance_line(provenance: dict) -> str:
-    """The `# {...}` comment line that heads every CSV artifact."""
-    return "# " + json.dumps(provenance, sort_keys=True) + "\n"
+    """The `# {...}` comment line that heads every CSV artifact; numpy
+    values and non-finite floats are made JSON first, as in `dump_json`."""
+    return "# " + json.dumps(jsonable(provenance), sort_keys=True) + "\n"
 
 
 def write_table(path: Path, table: FeatureTable, provenance: dict) -> None:
-    path.write_text(provenance_line(jsonable(provenance)) + table_to_csv(table))
+    path.write_text(provenance_line(provenance) + table_to_csv(table))
 
 
 def read_table(path: str | Path, schema_name: str = "custom") -> FeatureTable:

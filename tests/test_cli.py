@@ -315,6 +315,44 @@ class TestConfigHandling:
         assert "jobs" not in prov["provenance"]["config"]
         assert "out" not in prov["provenance"]["config"]
 
+    @pytest.mark.parametrize(
+        "flag", ["--learning-rate", "--reg-lambda", "--svm-c", "--l2", "--svm-sigma"])
+    def test_nan_hyperparameter_is_config_error(self, tmp_path, monkeypatch,
+                                                capfd, flag):
+        _feature_csv(tmp_path / "t.csv", "stress_16")
+        code = _run(tmp_path, monkeypatch, [
+            "evaluate", "--features", "t.csv", "--trees", "3", flag, "nan",
+            "--out", "run"])
+        assert code == 2
+        err = _error(capfd)
+        assert err["type"] == "ConfigError"
+        assert flag[2:].replace("-", "_") in err["message"]
+        assert not (tmp_path / "run/results.json").exists()
+
+    def test_csv_headers_are_json_under_non_finite_config(self, synth_data,
+                                                         tmp_path, monkeypatch):
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+
+        common = ["--scr-min-prominence", "inf", "--trees", "3", "--seed", "5",
+                  "--out", "run"]
+        features = ["--features", "run/features.csv"]
+        for argv in (["extract", "--manifest", "data/manifest.json"],
+                     ["loso"] + features,
+                     ["ablate", "--folds", "3"] + features,
+                     ["train"] + features,
+                     ["explain", "--model-path", "run/model.json"] + features):
+            assert _run(tmp_path, monkeypatch, argv + common) == 0, argv[0]
+        csvs = sorted((tmp_path / "run").glob("*.csv"))
+        assert [p.name for p in csvs] == [
+            "ablation.csv", "attributions.csv", "class_summary.csv",
+            "features.csv", "loso_subjects.csv"]
+        for path in csvs:
+            head = path.read_text().splitlines()[0]
+            assert head.startswith("# "), path.name
+            doc = json.loads(head[2:], parse_constant=reject)
+            assert doc["config"]["scr_min_prominence"] == "inf", path.name
+
 
 class TestAblateSummary:
     def test_ablate_writes_nine_rows(self, synth_data, tmp_path, monkeypatch):

@@ -22,7 +22,8 @@ from physio_bench.models import (
 )
 from physio_bench.models.base import ColumnStats, softmax
 from physio_bench.models.logistic import _loss_grad
-from physio_bench.models.trees import grow_gini_tree
+from physio_bench.models import trees
+from physio_bench.models.trees import MIN_GAIN, grow_gini_tree
 
 
 def _blobs(n=60, gap=6.0, seed=0, d=3):
@@ -209,6 +210,119 @@ class TestBoosting:
         model = train_tree_ensemble(data, TrainConfig(kind="boosting", n_trees=10))
         probs = model.predict_proba(X[:2])
         assert np.allclose(probs, [0.6, 0.4], atol=1e-6)
+
+
+class _ReferenceSplitter:
+    """The per-feature split search the presorted and histogram splitters
+    replaced: one argsort (exact) or one bincount (hist) per feature per
+    node, the running best updated on a strictly greater gain."""
+
+    def __init__(self, X, cfg):
+        self.X, self.hist = X, cfg.splits == "hist"
+        if self.hist:
+            qs = np.linspace(0, 1, cfg.n_bins + 1)[1:-1]
+            self.edges = [np.unique(np.quantile(X[:, j], qs)) for j in range(X.shape[1])]
+            self.codes = np.column_stack([
+                np.searchsorted(e, X[:, j], side="left") for j, e in enumerate(self.edges)])
+
+    def root(self):
+        return np.arange(len(self.X)), None
+
+    def partition(self, rows, j, thr):
+        idx = rows[0]
+        m = self.X[idx, j] <= thr
+        return (idx[m], None), (idx[~m], None)
+
+    def best_split(self, rows, g, h, lam, min_leaf):
+        idx, n = rows[0], len(rows[0])
+        G, H = g[idx].sum(), h[idx].sum()
+        parent = G * G / (H + lam)
+        best = (MIN_GAIN, -1, 0.0)
+        for j in range(self.X.shape[1]):
+            if self.hist:
+                edges = self.edges[j]
+                if len(edges) == 0:
+                    continue
+                nb = len(edges) + 1
+                c = self.codes[idx, j]
+                GL = np.cumsum(np.bincount(c, weights=g[idx], minlength=nb))[:-1]
+                HL = np.cumsum(np.bincount(c, weights=h[idx], minlength=nb))[:-1]
+                NL = np.cumsum(np.bincount(c, minlength=nb))[:-1]
+                valid = (NL >= min_leaf) & (n - NL >= min_leaf) & (NL > 0) & (NL < n)
+            else:
+                x = self.X[idx, j]
+                order = np.argsort(x, kind="stable")
+                xs = x[order]
+                GL = np.cumsum(g[idx][order])[:-1]
+                HL = np.cumsum(h[idx][order])[:-1]
+                pos = np.arange(n - 1)
+                valid = xs[:-1] < xs[1:]
+                if min_leaf > 1:
+                    valid &= (pos + 1 >= min_leaf) & (n - pos - 1 >= min_leaf)
+            if not valid.any():
+                continue
+            GR, HR = G - GL, H - HL
+            gains = np.where(
+                valid, 0.5 * (GL * GL / (HL + lam) + GR * GR / (HR + lam) - parent), -np.inf)
+            k = int(np.argmax(gains))
+            if gains[k] > best[0]:
+                thr = edges[k] if self.hist else 0.5 * (xs[k] + xs[k + 1])
+                best = (float(gains[k]), j, float(thr))
+        return best
+
+
+def _tied_matrix(K, seed):
+    """Values rounded to one decimal (heavy ties), a constant column, a
+    four-valued column, NaNs that ColumnStats imputes, and a last column
+    equal to the first, so two features tie on every gain."""
+    rng = np.random.default_rng(seed)
+    n = 150
+    X = np.round(rng.normal(0, 1.5, size=(n, 5)), 1)
+    X[:, 2] = 3.0
+    X[:, 3] = rng.integers(0, 4, n)
+    X[rng.random((n, 5)) < 0.05] = np.nan
+    X[:, 4] = X[:, 0]
+    y = (X[:, 0] > 0).astype(int) + (np.nan_to_num(X[:, 1]) > 0.5).astype(int)
+    labels = np.array([f"c{v % K}" for v in y], dtype=object)
+    groups = np.array([f"s{i % 5}" for i in range(n)], dtype=object)
+    return DataMatrix(X, labels, groups, [f"f{j}" for j in range(5)])
+
+
+class TestSplitSearchEquivalence:
+    @pytest.mark.parametrize("K", [2, 3])
+    @pytest.mark.parametrize("min_leaf", [1, 3])
+    @pytest.mark.parametrize("splits", ["exact", "hist"])
+    @pytest.mark.parametrize("growth", ["depth", "leaf"])
+    def test_same_split_at_every_node_and_same_model(self, monkeypatch, growth,
+                                                     splits, min_leaf, K):
+        data = _tied_matrix(K, seed=11 * K + min_leaf)
+        cfg = TrainConfig(kind="boosting", n_trees=6, learning_rate=0.5,
+                          growth=growth, splits=splits, max_leaves=6,
+                          min_samples_leaf=min_leaf, n_bins=16)
+        model = train_tree_ensemble(data, cfg)
+
+        checked = []
+        make_splitter = trees._splitter
+
+        class Checked:
+            def __init__(self, X, cfg):
+                self.new, self.ref = make_splitter(X, cfg), _ReferenceSplitter(X, cfg)
+                self.root, self.partition = self.new.root, self.new.partition
+
+            def best_split(self, rows, g, h, lam, min_leaf):
+                got = self.new.best_split(rows, g, h, lam, min_leaf)
+                assert got == self.ref.best_split(rows, g, h, lam, min_leaf)
+                checked.append(got[1])
+                return got
+
+        monkeypatch.setattr(trees, "_splitter", Checked)
+        checked_model = train_tree_ensemble(data, cfg)
+        monkeypatch.setattr(trees, "_splitter", _ReferenceSplitter)
+        reference = train_tree_ensemble(data, cfg)
+
+        assert len(checked) > 6 * K and max(checked) >= 0
+        assert (json.dumps(model.to_dict()) == json.dumps(checked_model.to_dict())
+                == json.dumps(reference.to_dict()))
 
 
 def _log_loss_of(scores, y):
