@@ -415,13 +415,14 @@ def load_dataset(manifest_path: str | Path) -> list[Recording]:
 
 
 def _fmt(v: float) -> str:
-    """Shortest decimal representation that reparses to the same float."""
+    """Shortest decimal representation that reparses to the same float;
+    for float64 arrays, `map(repr, a.tolist())` gives the same text."""
     return repr(float(v))
 
 
 def write_channel(series: SampledSeries) -> str:
     lines = [_fmt(series.start_epoch), _fmt(series.rate_hz)]
-    lines.extend(_fmt(v) for v in series.values)
+    lines.extend(map(repr, series.values.tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -432,14 +433,14 @@ def write_acc(x: SampledSeries, y: SampledSeries, z: SampledSeries) -> str:
         ",".join(_fmt(s.rate_hz) for s in (x, y, z)),
     ]
     raw = np.stack([x.values, y.values, z.values], axis=1) * ACC_COUNTS_PER_G
-    lines.extend(",".join(_fmt(v) for v in row) for row in raw)
+    lines.extend(",".join(map(repr, row)) for row in raw.tolist())
     return "\n".join(lines) + "\n"
 
 
 def write_ibi(ibi: EventSeries) -> str:
     lines = [f"{_fmt(ibi.start_epoch)}, IBI"]
     lines.extend(
-        f"{_fmt(o)},{_fmt(d)}" for o, d in zip(ibi.offsets, ibi.durations)
+        f"{o!r},{d!r}" for o, d in zip(ibi.offsets.tolist(), ibi.durations.tolist())
     )
     return "\n".join(lines) + "\n"
 

@@ -105,7 +105,7 @@ def tune_model(data: DataMatrix, cfg: TrainConfig):
     Candidates are scored by mean macro-F1 across folds; the first best in
     declared grid order wins ties. The winner is refit on all rows.
     """
-    from ..evaluation import grouped_kfold, macro_f1_score
+    from ..evaluation import evaluate_fold, grouped_kfold, macro_f1_score
 
     grid = cfg.grid if cfg.grid is not None else default_grid(cfg.kind)
     subjects = sorted(set(data.groups))
@@ -118,13 +118,10 @@ def tune_model(data: DataMatrix, cfg: TrainConfig):
     best = None
     for point in _grid_points(grid):
         candidate = cfg.replace(grid=None, **point)
-        scores = []
-        for train_subj, test_subj in plan.folds:
-            train = data.subset(data.rows_for_subjects(train_subj))
-            test = data.subset(data.rows_for_subjects(test_subj))
-            model = train_model(train, candidate)
-            scores.append(macro_f1_score(test.labels, model.predict_class(test.X)))
-        mean_score = float(np.mean(scores))
+        folds = [evaluate_fold(data, candidate, train_subj, test_subj)
+                 for train_subj, test_subj in plan.folds]
+        mean_score = float(np.mean(
+            [macro_f1_score(f["y_true"], f["y_pred"]) for f in folds]))
         trace.append({"params": point, "macro_f1": mean_score})
         if best is None or mean_score > best[0]:
             best = (mean_score, candidate)

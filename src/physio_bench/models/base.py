@@ -162,6 +162,10 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be positive")
         if self.svm_sigma is not None and not self.svm_sigma > 0:
             raise ConfigError("svm_sigma must be positive")
+        # Zero boosting rounds is the prior-only model; a forest needs a tree.
+        min_trees = 1 if self.kind == "bagging" else 0
+        if self.n_trees is not None and self.n_trees < min_trees:
+            raise ConfigError(f"n_trees must be >= {min_trees} for {self.kind}")
 
     @property
     def resolved_trees(self) -> int:

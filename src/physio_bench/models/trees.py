@@ -15,11 +15,13 @@ round and class since X never changes. Exact mode presorts each column
 once (stable argsort) and carries every node's per-feature row orders
 down the tree by stable partition, so a node's orders equal a stable
 argsort of its own rows without sorting again (Chen & Guestrin, KDD 2016).
-Histogram mode bins all features of a node with one bincount over
-feature-offset codes (Ke et al., NeurIPS 2017). Either way a node is
-scored in a single pass over a (features, cuts) array of cumulative
-gradient and hessian sums; ties go to the first maximal cut of a feature,
-then to the first feature in column order.
+The same presorted scan, fed class-indicator columns and scored by Gini
+gain, grows each bagging tree on its bootstrap rows and feature subset;
+bagging always searches exactly. Histogram mode (boosting only) bins all
+features of a node with one bincount over feature-offset codes (Ke et al.,
+NeurIPS 2017). Either way a node is scored in a single pass over a
+(features, cuts) array of cumulative per-row statistics; ties go to the
+first maximal cut of a feature, then to the first feature in column order.
 
 Trees store per-node training cover so path-dependent SHAP can compute
 conditional expectations without a background sample.
@@ -161,10 +163,11 @@ class _TreeBuilder:
 
 # --- split search -----------------------------------------------------------
 #
-# A splitter serves every regression tree of one boosting fit. It hands a
-# node's rows around as a pair (idx, R): idx lists the rows in ascending
-# order, R is the splitter's own state for them. `best_split` scores every
-# feature of the node in one pass; `partition` returns the children's pairs.
+# A splitter serves every regression tree of one boosting fit, or one
+# bagging tree. It hands a node's rows around as a pair (idx, R): idx lists
+# the rows in ascending order, R is the splitter's own state for them.
+# `best_split` scores every feature of the node in one pass; `partition`
+# returns the children's pairs.
 
 
 def _newton_value(g_sum: float, h_sum: float, lam: float) -> float:
@@ -195,6 +198,15 @@ def _first_best(gains: np.ndarray) -> tuple[float, int, int]:
     return float(best[j]), j, int(cuts[j])
 
 
+def _best_cut(xs, gains) -> tuple[float, int, float]:
+    """`_first_best` of a presorted scan; the threshold is the midpoint of
+    the cut's two neighbouring sorted values."""
+    gain, j, cut = _first_best(gains)
+    if j < 0:
+        return gain, j, 0.0
+    return gain, j, float(0.5 * (xs[j, cut] + xs[j, cut + 1]))
+
+
 class _Presorted:
     """Exact greedy search over one presort per fit (XGBoost's pre-sorted
     algorithm). R[j] lists the node's rows in ascending X[:, j], ties by
@@ -207,22 +219,25 @@ class _Presorted:
     def root(self):
         return np.arange(self.Xt.shape[1]), self.order
 
-    def best_split(self, rows, g, h, lam, min_leaf):
+    def scan(self, rows, stats, min_leaf):
+        """One criterion-agnostic pass over a node: each feature's sorted
+        values xs (d, n); for each per-row statistic in `stats`, its sums
+        left of a cut after each position (d, n - 1); and the mask of valid
+        cuts (a value change, at least min_leaf rows on either side)."""
         idx, R = rows
         n = len(idx)
         xs = np.take_along_axis(self.Xt, R, axis=1)
-        # cut after position i: left = first i+1 rows of each feature's order
-        GL = np.cumsum(g[R], axis=1)[:, :-1]
-        HL = np.cumsum(h[R], axis=1)[:, :-1]
+        left = [np.cumsum(s[R], axis=1)[:, :-1] for s in stats]
         valid = xs[:, :-1] < xs[:, 1:]
         if min_leaf > 1:
             pos = np.arange(1, n)
             valid &= (pos >= min_leaf) & (n - pos >= min_leaf)
-        gains = _split_gains(GL, HL, g[idx].sum(), h[idx].sum(), lam, valid)
-        gain, j, cut = _first_best(gains)
-        if j < 0:
-            return gain, j, 0.0
-        return gain, j, float(0.5 * (xs[j, cut] + xs[j, cut + 1]))
+        return xs, left, valid
+
+    def best_split(self, rows, g, h, lam, min_leaf):
+        idx = rows[0]
+        xs, (GL, HL), valid = self.scan(rows, (g, h), min_leaf)
+        return _best_cut(xs, _split_gains(GL, HL, g[idx].sum(), h[idx].sum(), lam, valid))
 
     def partition(self, rows, j, thr):
         idx, R = rows
@@ -356,45 +371,26 @@ def grow_regression_tree(X, g, h, cfg: TrainConfig,
 
 def grow_gini_tree(X, y, n_classes: int, features: np.ndarray,
                    max_depth: int | None, min_leaf: int) -> Tree:
-    """Gini-impurity classification tree; leaves hold class distributions."""
+    """Gini-impurity classification tree on X[:, features]; leaves hold
+    class distributions. Splits come from one presorted scan per node."""
+    splitter = _Presorted(X[:, features])
+    indicators = [(y == k).astype(float) for k in range(n_classes)]
     builder = _TreeBuilder(n_out=n_classes)
 
-    def gini_counts(counts):
-        n = counts.sum()
-        return 1.0 - ((counts / n) ** 2).sum() if n else 0.0
+    def best_split(rows, counts):
+        n = len(rows[0])
+        xs, CL, valid = splitter.scan(rows, indicators, min_leaf)
+        parent = 1.0 - ((counts / n) ** 2).sum()
+        # Class counts are exact integers, so every sum over classes is too.
+        NL = np.arange(1.0, n)
+        NR = n - NL
+        gini_l = 1.0 - sum(c ** 2 for c in CL) / NL ** 2
+        gini_r = 1.0 - sum((counts[k] - c) ** 2 for k, c in enumerate(CL)) / NR ** 2
+        gains = parent - (NL / n) * gini_l - (NR / n) * gini_r
+        return _best_cut(xs, np.where(valid, gains, -np.inf))
 
-    def best_split(idx):
-        counts = np.bincount(y[idx], minlength=n_classes).astype(float)
-        n = len(idx)
-        parent = gini_counts(counts)
-        best = (MIN_GAIN, -1, 0.0)
-        for j in features:
-            x = X[idx, j]
-            order = np.argsort(x, kind="stable")
-            xs = x[order]
-            onehot = np.zeros((n, n_classes))
-            onehot[np.arange(n), y[idx][order]] = 1.0
-            cum = np.cumsum(onehot, axis=0)
-            pos = np.arange(n - 1)
-            valid = xs[:-1] < xs[1:]
-            valid &= (pos + 1 >= min_leaf) & (n - pos - 1 >= min_leaf)
-            if not valid.any():
-                continue
-            CL = cum[:-1][valid]
-            NL = CL.sum(axis=1)
-            CR = counts - CL
-            NR = n - NL
-            gini_l = 1.0 - (CL ** 2).sum(axis=1) / NL ** 2
-            gini_r = 1.0 - (CR ** 2).sum(axis=1) / NR ** 2
-            gains = parent - (NL / n) * gini_l - (NR / n) * gini_r
-            k = int(np.argmax(gains))
-            if gains[k] > best[0]:
-                cut = np.flatnonzero(valid)[k]
-                thr = 0.5 * (xs[cut] + xs[cut + 1])
-                best = (float(gains[k]), j, float(thr))
-        return best
-
-    def recurse(idx, depth) -> int:
+    def recurse(rows, depth) -> int:
+        idx = rows[0]
         node = builder.add(len(idx))
         counts = np.bincount(y[idx], minlength=n_classes).astype(float)
         pure = counts.max() == len(idx)
@@ -402,17 +398,17 @@ def grow_gini_tree(X, y, n_classes: int, features: np.ndarray,
         if pure or deep or len(idx) < 2 * min_leaf:
             builder.value[node] = counts / counts.sum()
             return node
-        gain, j, thr = best_split(idx)
+        gain, j, thr = best_split(rows, counts)
         if j < 0:
             builder.value[node] = counts / counts.sum()
             return node
-        mask = X[idx, j] <= thr
-        l = recurse(idx[mask], depth + 1)
-        r = recurse(idx[~mask], depth + 1)
-        builder.split(node, j, thr, l, r)
+        left, right = splitter.partition(rows, j, thr)
+        l = recurse(left, depth + 1)
+        r = recurse(right, depth + 1)
+        builder.split(node, int(features[j]), thr, l, r)
         return node
 
-    recurse(np.arange(len(y)), 0)
+    recurse(splitter.root(), 0)
     return builder.freeze()
 
 

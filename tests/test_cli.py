@@ -329,6 +329,21 @@ class TestConfigHandling:
         assert flag[2:].replace("-", "_") in err["message"]
         assert not (tmp_path / "run/results.json").exists()
 
+    @pytest.mark.parametrize("command, model, trees", [
+        ("evaluate", "bagging", "0"), ("train", "bagging", "-3"),
+        ("train", "boosting", "-3")])
+    def test_empty_or_negative_ensemble_is_config_error(self, tmp_path, monkeypatch,
+                                                        capfd, command, model, trees):
+        _feature_csv(tmp_path / "t.csv", "stress_16")
+        code = _run(tmp_path, monkeypatch, [
+            command, "--features", "t.csv", "--model", model, "--trees", trees,
+            "--out", "run"])
+        assert code == 2
+        err = _error(capfd)
+        assert err["type"] == "ConfigError"
+        assert "n_trees" in err["message"]
+        assert not list((tmp_path / "run").glob("*.json"))
+
     def test_csv_headers_are_json_under_non_finite_config(self, synth_data,
                                                          tmp_path, monkeypatch):
         def reject(name):

@@ -325,6 +325,87 @@ class TestSplitSearchEquivalence:
                 == json.dumps(reference.to_dict()))
 
 
+def _reference_gini_tree(X, y, n_classes, features, max_depth, min_leaf):
+    """The per-feature Gini search the presorted scan replaced: one argsort
+    and one (n, K) one-hot per feature per node, the running best updated
+    on a strictly greater gain."""
+    builder = trees._TreeBuilder(n_out=n_classes)
+
+    def gini_counts(counts):
+        n = counts.sum()
+        return 1.0 - ((counts / n) ** 2).sum() if n else 0.0
+
+    def best_split(idx):
+        counts = np.bincount(y[idx], minlength=n_classes).astype(float)
+        n = len(idx)
+        parent = gini_counts(counts)
+        best = (MIN_GAIN, -1, 0.0)
+        for j in features:
+            x = X[idx, j]
+            order = np.argsort(x, kind="stable")
+            xs = x[order]
+            onehot = np.zeros((n, n_classes))
+            onehot[np.arange(n), y[idx][order]] = 1.0
+            cum = np.cumsum(onehot, axis=0)
+            pos = np.arange(n - 1)
+            valid = xs[:-1] < xs[1:]
+            valid &= (pos + 1 >= min_leaf) & (n - pos - 1 >= min_leaf)
+            if not valid.any():
+                continue
+            CL = cum[:-1][valid]
+            NL = CL.sum(axis=1)
+            CR = counts - CL
+            NR = n - NL
+            gini_l = 1.0 - (CL ** 2).sum(axis=1) / NL ** 2
+            gini_r = 1.0 - (CR ** 2).sum(axis=1) / NR ** 2
+            gains = parent - (NL / n) * gini_l - (NR / n) * gini_r
+            k = int(np.argmax(gains))
+            if gains[k] > best[0]:
+                cut = np.flatnonzero(valid)[k]
+                thr = 0.5 * (xs[cut] + xs[cut + 1])
+                best = (float(gains[k]), j, float(thr))
+        return best
+
+    def recurse(idx, depth):
+        node = builder.add(len(idx))
+        counts = np.bincount(y[idx], minlength=n_classes).astype(float)
+        pure = counts.max() == len(idx)
+        deep = max_depth is not None and depth >= max_depth
+        if pure or deep or len(idx) < 2 * min_leaf:
+            builder.value[node] = counts / counts.sum()
+            return node
+        gain, j, thr = best_split(idx)
+        if j < 0:
+            builder.value[node] = counts / counts.sum()
+            return node
+        mask = X[idx, j] <= thr
+        l = recurse(idx[mask], depth + 1)
+        r = recurse(idx[~mask], depth + 1)
+        builder.split(node, j, thr, l, r)
+        return node
+
+    recurse(np.arange(len(y)), 0)
+    return builder.freeze()
+
+
+class TestGiniSplitEquivalence:
+    @pytest.mark.parametrize("K", [2, 3])
+    @pytest.mark.parametrize("min_leaf", [1, 2, 3])
+    @pytest.mark.parametrize("max_depth", [None, 0, 3])
+    def test_same_forest_as_per_feature_search(self, monkeypatch, max_depth,
+                                               min_leaf, K):
+        data = _tied_matrix(K, seed=7 * K + min_leaf)
+        cfg = TrainConfig(kind="bagging", n_trees=12, seed=K + min_leaf,
+                          max_depth=max_depth, min_samples_leaf=min_leaf)
+        model = train_tree_ensemble(data, cfg)
+        monkeypatch.setattr(trees, "grow_gini_tree", _reference_gini_tree)
+        reference = train_tree_ensemble(data, cfg)
+
+        grown = sum(t.n_nodes for t in model.trees)
+        assert grown == 12 if max_depth == 0 else grown > 12 * 3
+        assert json.dumps(model.to_dict()) == json.dumps(reference.to_dict())
+
+
 def _log_loss_of(scores, y):
     p = softmax(scores)
     return float(-np.mean(np.log(np.clip(p[np.arange(len(y)), y], 1e-15, None))))
