@@ -1,12 +1,23 @@
 """Exact SHAP attributions for tree ensembles and linear models.
 
-Tree attributions use the exact path-dependent algorithm: conditional
-expectations come from per-node training covers recorded at fit time, and
-the extend/unwind weight bookkeeping yields every feature's Shapley value
-in one pass per tree. Boosting ensembles are explained on the per-class
-log-odds margin, bagging ensembles on the averaged probability margin;
-either way the local-accuracy identity sum(phi) + base = margin(x) holds
-to float precision.
+Tree attributions use the exact path-dependent algorithm (Lundberg et al.,
+Nature MI 2020); conditional expectations come from per-node training
+covers recorded at fit time. A model is decomposed once into a path table,
+as in GPUTreeShap (Mitchell et al., arXiv:2010.13972):
+
+- it holds every root-to-leaf path of every tree, grouped by the path's
+  count of distinct split features;
+- a feature split more than once on a path is one element: the product of
+  its cover ratios is the zero fraction, its thresholds give lo < x <= hi;
+- each path carries its leaf payload, scaled to the ensemble margin and
+  placed in its class column.
+
+Explaining a row tests every element's interval at once for the one
+fractions, then runs the EXTEND/UNWOUND_SUM weight bookkeeping as array
+operations over all paths of a group. Boosting ensembles are explained on
+the per-class log-odds margin, bagging ensembles on the averaged
+probability margin; either way the local-accuracy identity
+sum(phi) + base = margin(x) holds to float precision.
 
 Linear models get the closed form phi_i = w_i (z_i - background_i) on the
 standardized scale.
@@ -39,119 +50,133 @@ class Attribution:
         return self.phi.sum(axis=1) + self.base_values
 
 
-# --- path-dependent tree recursion ---------------------------------------------
+# --- path table -------------------------------------------------------------------
 
 
-def _extend(feats, zeros, ones, pw, pz, po, pi):
-    l = len(pw)
-    feats.append(pi)
-    zeros.append(pz)
-    ones.append(po)
-    pw.append(1.0 if l == 0 else 0.0)
-    for i in range(l - 1, -1, -1):
-        pw[i + 1] += po * pw[i] * (i + 1) / (l + 1)
-        pw[i] = pz * pw[i] * (l - i) / (l + 1)
+@dataclass
+class _PathGroup:
+    """Every root-to-leaf path with L distinct split features, one row each.
+    A path follows x iff lo < x[feature] <= hi for all of its elements."""
+
+    feature: np.ndarray   # (P, L) intp
+    zero: np.ndarray      # (P, L) product of the element's cover ratios
+    lo: np.ndarray        # (P, L)
+    hi: np.ndarray        # (P, L)
+    value: np.ndarray     # (P, K) scaled leaf payload
 
 
-def _unwind(feats, zeros, ones, pw, depth, index):
-    of = ones[index]
-    zf = zeros[index]
-    next_one = pw[depth]
-    for i in range(depth - 1, -1, -1):
-        if of != 0.0:
-            tmp = pw[i]
-            pw[i] = next_one * (depth + 1) / ((i + 1) * of)
-            next_one = tmp - pw[i] * zf * (depth - i) / (depth + 1)
+def _tree_paths(tree: Tree, payload: np.ndarray):
+    """(elements, payload row) per leaf. elements maps each split feature
+    to (zero fraction, lo, hi), in the order of its last split."""
+    stack = [(0, {})]
+    while stack:
+        node, path = stack.pop()
+        f = int(tree.feature[node])
+        if f == LEAF:
+            yield path, payload[node]
+            continue
+        zero, lo, hi = path.pop(f, (1.0, -np.inf, np.inf))
+        t = float(tree.threshold[node])
+        for child, bounds in ((tree.right[node], (max(lo, t), hi)),
+                              (tree.left[node], (lo, min(hi, t)))):
+            ratio = tree.cover[child] / tree.cover[node]
+            stack.append((child, {**path, f: (zero * ratio, *bounds)}))
+
+
+def _path_table(trees: list[Tree], payloads: list[np.ndarray]) -> list[_PathGroup]:
+    """Paths of all trees grouped by length; payloads[t] is tree t's
+    (n_nodes, K) leaf payload. Leaf-only trees attribute nothing."""
+    by_len: dict[int, list] = {}
+    for tree, payload in zip(trees, payloads):
+        for path, value in _tree_paths(tree, payload):
+            by_len.setdefault(len(path), []).append((path, value))
+    groups = []
+    for L, paths in sorted(by_len.items()):
+        if L == 0:
+            continue
+        elems = np.array([[(f, *e) for f, e in path.items()] for path, _ in paths])
+        groups.append(_PathGroup(elems[..., 0].astype(np.intp), elems[..., 1],
+                                 elems[..., 2], elems[..., 3],
+                                 np.array([v for _, v in paths])))
+    return groups
+
+
+def _shap_paths(groups: list[_PathGroup], x: np.ndarray, d: int, K: int) -> np.ndarray:
+    """Shapley values (d, K) of x: EXTEND over each path's elements, then
+    UNWOUND_SUM for every element, both vectorised over the path axis."""
+    phi = np.zeros((d, K))
+    # -inf routes left of every threshold; the largest float does the same
+    # and still lies inside an unbounded lo = -inf.
+    x = np.maximum(x, -np.finfo(np.float64).max)
+    for g in groups:
+        P, L = g.feature.shape
+        xv = x[g.feature]
+        one = ((g.lo < xv) & (xv <= g.hi)).astype(np.float64)
+        z = g.zero
+        pw = np.zeros((P, L + 1))
+        pw[:, 0] = 1.0
+        for l in range(1, L + 1):
+            i = np.arange(l)
+            old = pw[:, :l]
+            up = one[:, l - 1, None] * old * (i + 1) / (l + 1)
+            pw[:, :l] = z[:, l - 1, None] * old * (l - i) / (l + 1)
+            pw[:, 1:l + 1] += up
+        # One fractions are 0 or 1, so the o != 0 branch divides by o = 1.
+        nxt = pw[:, L, None]
+        total_hot = np.zeros((P, L))
+        total_cold = np.zeros((P, L))
+        for j in range(L - 1, -1, -1):
+            pj = pw[:, j, None]
+            tmp = nxt / (j + 1)
+            total_hot += tmp
+            nxt = pj - tmp * z * (L - j)
+            total_cold += pj / (z * (L - j))
+        w = np.where(one != 0, total_hot, total_cold) * (L + 1)
+        contrib = (w * (one - z))[..., None] * g.value[:, None, :]
+        np.add.at(phi, g.feature.ravel(), contrib.reshape(-1, K))
+    return phi
+
+
+def _model_paths(model: TreeEnsembleModel):
+    """The model's path table and base values, built once and cached."""
+    if model.shap_paths is None:
+        K = len(model.classes)
+        base = np.array(model.base_score, dtype=np.float64)
+        if model.mode == "boosting":
+            payloads = []
+            for tree, k in zip(model.trees, model.tree_class):
+                payload = np.zeros((tree.n_nodes, K))
+                payload[:, k] = model.learning_rate * tree.value[:, 0]
+                payloads.append(payload)
+                base[k] += model.learning_rate * float(tree.expected_value()[0])
         else:
-            pw[i] = pw[i] * (depth + 1) / (zf * (depth - i))
-    for i in range(index, depth):
-        feats[i] = feats[i + 1]
-        zeros[i] = zeros[i + 1]
-        ones[i] = ones[i + 1]
-    feats.pop()
-    zeros.pop()
-    ones.pop()
-    pw.pop()
-
-
-def _unwound_sum(zeros, ones, pw, depth, index) -> float:
-    of = ones[index]
-    zf = zeros[index]
-    next_one = pw[depth]
-    total = 0.0
-    if of != 0.0:
-        for i in range(depth - 1, -1, -1):
-            tmp = next_one / ((i + 1) * of)
-            total += tmp
-            next_one = pw[i] - tmp * zf * (depth - i)
-    else:
-        for i in range(depth - 1, -1, -1):
-            total += pw[i] / (zf * (depth - i))
-    return total * (depth + 1)
-
-
-def _recurse(tree: Tree, x, phi, node, feats, zeros, ones, pw, pz, po, pi):
-    _extend(feats, zeros, ones, pw, pz, po, pi)
-    depth = len(pw) - 1
-    f = tree.feature[node]
-    if f == LEAF:
-        value = tree.value[node]
-        for i in range(1, depth + 1):
-            w = _unwound_sum(zeros, ones, pw, depth, i)
-            phi[feats[i]] += w * (ones[i] - zeros[i]) * value
-        return
-    if x[f] <= tree.threshold[node]:
-        hot, cold = tree.left[node], tree.right[node]
-    else:
-        hot, cold = tree.right[node], tree.left[node]
-    cover = tree.cover[node]
-    hot_zero = tree.cover[hot] / cover
-    cold_zero = tree.cover[cold] / cover
-    iz = io = 1.0
-    try:
-        k = feats.index(f)
-    except ValueError:
-        k = -1
-    if k >= 0:
-        iz, io = zeros[k], ones[k]
-        _unwind(feats, zeros, ones, pw, depth, k)
-    _recurse(tree, x, phi, hot, list(feats), list(zeros), list(ones), list(pw),
-             iz * hot_zero, io, int(f))
-    _recurse(tree, x, phi, cold, list(feats), list(zeros), list(ones), list(pw),
-             iz * cold_zero, 0.0, int(f))
+            B = max(1, len(model.trees))
+            payloads = [tree.value / B for tree in model.trees]
+            for tree in model.trees:
+                base += tree.expected_value() / B
+        model.shap_paths = (_path_table(model.trees, payloads), base)
+    return model.shap_paths
 
 
 def shap_single_tree(tree: Tree, x: np.ndarray, n_features: int) -> np.ndarray:
     """Exact path-dependent Shapley values of one tree, shape (d, n_out)."""
-    phi = np.zeros((n_features, tree.n_out))
-    _recurse(tree, x, phi, 0, [], [], [], [], 1.0, 1.0, -1)
-    return phi
+    x = np.asarray(x, dtype=np.float64)
+    return _shap_paths(_path_table([tree], [tree.value]), x, n_features, tree.n_out)
 
 
 def tree_shap(model: TreeEnsembleModel, x: np.ndarray,
               subject_id: str | None = None,
               window_start: float | None = None) -> Attribution:
-    """Sum of exact per-tree attributions on the ensemble's margin scale."""
+    """Exact attributions of the ensemble's margin, over its path table."""
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     d = len(model.feature_names)
     if x.shape[0] != d:
         raise SchemaMismatch(f"expected {d} features, got {x.shape[0]}")
     xi = model.stats.impute_only(x[None, :])[0]
-    K = len(model.classes)
-    phi = np.zeros((K, d))
-    base = np.zeros(K)
-    if model.mode == "boosting":
-        base += model.base_score
-        for tree, k in zip(model.trees, model.tree_class):
-            phi[k] += model.learning_rate * shap_single_tree(tree, xi, d)[:, 0]
-            base[k] += model.learning_rate * float(tree.expected_value()[0])
-    else:
-        B = max(1, len(model.trees))
-        for tree in model.trees:
-            phi += shap_single_tree(tree, xi, d).T / B
-            base += tree.expected_value() / B
-    return Attribution(list(model.classes), list(model.feature_names), phi, base,
-                       xi, subject_id, window_start)
+    groups, base = _model_paths(model)
+    phi = _shap_paths(groups, xi, d, len(model.classes)).T
+    return Attribution(list(model.classes), list(model.feature_names), phi,
+                       base.copy(), xi, subject_id, window_start)
 
 
 def linear_shap(model: LogisticModel, x: np.ndarray,

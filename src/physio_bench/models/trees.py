@@ -30,7 +30,7 @@ conditional expectations without a background sample.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -89,16 +89,17 @@ class Tree:
         self._route(X, rows[~go_left], self.right[node], out)
 
     def expected_value(self) -> np.ndarray:
-        """Cover-weighted mean leaf payload (the path-dependent base value)."""
-        return self._expect(0)
-
-    def _expect(self, node) -> np.ndarray:
-        if self.feature[node] == LEAF:
-            return self.value[node]
-        l, r = self.left[node], self.right[node]
-        wl = self.cover[l] / self.cover[node]
-        wr = self.cover[r] / self.cover[node]
-        return wl * self._expect(l) + wr * self._expect(r)
+        """Cover-weighted mean leaf payload (the path-dependent base value).
+        One reverse sweep over the nodes: children are numbered after their
+        parent, so both are done before the parent is reached."""
+        E = self.value.copy()
+        for node in range(self.n_nodes - 1, -1, -1):
+            if self.feature[node] != LEAF:
+                l, r = self.left[node], self.right[node]
+                wl = self.cover[l] / self.cover[node]
+                wr = self.cover[r] / self.cover[node]
+                E[node] = wl * E[l] + wr * E[r]
+        return E[0]
 
     def to_dict(self) -> dict:
         return {
@@ -425,6 +426,8 @@ class TreeEnsembleModel:
     base_score: np.ndarray        # (K,) log prior for boosting, zeros bagging
     stats: ColumnStats
     feature_names: list[str]
+    #: explain's path table and base values, built on the first tree_shap call
+    shap_paths: object = field(default=None, init=False, repr=False, compare=False)
 
     kind = "tree_ensemble"
 
@@ -488,11 +491,6 @@ class TreeEnsembleModel:
             stats=ColumnStats.from_dict(d["stats"]),
             feature_names=list(d["feature_names"]),
         )
-
-
-def _log_loss(scores: np.ndarray, y: np.ndarray) -> float:
-    P = softmax(scores)
-    return float(-np.mean(np.log(np.clip(P[np.arange(len(y)), y], 1e-15, None))))
 
 
 def train_tree_ensemble(data: DataMatrix, cfg: TrainConfig) -> TreeEnsembleModel:

@@ -200,6 +200,43 @@ class TestTrainExplain:
         att_lines = (tmp_path / "run/attributions.csv").read_text().splitlines()
         assert att_lines[1] == "subject_id,window_start,class,feature,value,shap"
 
+    def test_train_then_explain_bagging_model(self, synth_data, tmp_path, monkeypatch):
+        from test_explain import _brute_force_shap
+
+        from physio_bench.models import model_from_json
+        from physio_bench.models.trees import LEAF
+        from physio_bench.pipeline import read_table
+
+        _run(tmp_path, monkeypatch, [
+            "extract", "--manifest", "data/manifest.json", "--out", "run"])
+        assert _run(tmp_path, monkeypatch, [
+            "train", "--features", "run/features.csv", "--model", "bagging",
+            "--trees", "5", "--seed", "5", "--out", "run"]) == 0
+        assert _run(tmp_path, monkeypatch, [
+            "explain", "--model-path", "run/model.json", "--features",
+            "run/features.csv", "--out", "run"]) == 0
+        doc = json.loads((tmp_path / "run/importance.json").read_text())
+        assert doc["local_accuracy"]["all_rows_within_1e-8"] is True
+        model = model_from_json((tmp_path / "run/model.json").read_text())
+        table = read_table(tmp_path / "run/features.csv")
+        d = len(model.feature_names)
+        shap = {}
+        lines = (tmp_path / "run/attributions.csv").read_text().splitlines()[2:]
+        for line in lines:
+            sid, ws, cls, name, _, value = line.split(",")
+            shap[sid, float(ws), cls, name] = float(value)
+        for i in (0, len(table) - 1):
+            x = model.stats.impute_only(table.X[i][None, :])[0]
+            phi = np.zeros((d, len(model.classes)))
+            for tree in model.trees:
+                used = sorted(set(tree.feature[tree.feature != LEAF].tolist()))
+                phi += _brute_force_shap(tree, x, d, used) / len(model.trees)
+            key = (str(table.subjects[i]), float(table.window_starts[i]))
+            for k, cls in enumerate(model.classes):
+                got = np.array([shap[key + (cls, n)] for n in model.feature_names])
+                # attributions.csv holds 9 significant digits
+                assert np.all(np.abs(got - phi[:, k]) <= 1e-8 * np.abs(phi[:, k]) + 1e-12)
+
     def test_train_with_tuning_records_trace(self, synth_data, tmp_path,
                                              monkeypatch):
         _run(tmp_path, monkeypatch, [

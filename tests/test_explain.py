@@ -36,15 +36,19 @@ def _conditional_expectation(tree: Tree, x, revealed, node=0):
             + wr * _conditional_expectation(tree, x, revealed, r))
 
 
-def _brute_force_shap(tree: Tree, x, d):
-    """Exact Shapley over all 2^d subsets; the independent oracle."""
+def _brute_force_shap(tree: Tree, x, d, players=None):
+    """Exact Shapley over all subsets of `players` (default: all d
+    features); the independent oracle. Features a tree never splits on are
+    dummies, so leaving them out of `players` keeps every value exact."""
+    players = list(range(d)) if players is None else list(players)
+    n = len(players)
     phi = np.zeros((d, tree.n_out))
-    fact = [math.factorial(i) for i in range(d + 1)]
-    for j in range(d):
-        rest = [f for f in range(d) if f != j]
-        for r in range(d):
+    fact = [math.factorial(i) for i in range(n + 1)]
+    for j in players:
+        rest = [f for f in players if f != j]
+        for r in range(n):
             for S in itertools.combinations(rest, r):
-                w = fact[r] * fact[d - r - 1] / fact[d]
+                w = fact[r] * fact[n - r - 1] / fact[n]
                 with_j = _conditional_expectation(tree, x, set(S) | {j})
                 without = _conditional_expectation(tree, x, set(S))
                 phi[j] += w * (with_j - without)
@@ -155,6 +159,127 @@ class TestTreeShapOracle:
             assert abs(phi[0, 0] - phi[1, 0]) < 1e-12
             ref = _brute_force_shap(tree, np.array(x), 2)
             assert np.abs(phi - ref).max() < 1e-12
+
+
+def _hand_tree(feature, threshold, children, cover, leaf_values):
+    """A Tree from per-node lists; children[i] is (left, right) or None."""
+    n = len(feature)
+    left = [c[0] if c else LEAF for c in children]
+    right = [c[1] if c else LEAF for c in children]
+    value = [[leaf_values.get(i, 0.0)] for i in range(n)]
+    return Tree(np.array(feature), np.array(threshold, dtype=float),
+                np.array(left), np.array(right), np.array(value),
+                np.array(cover, dtype=float))
+
+
+#: f0 split twice in the same direction on the left path (x <= 1, then
+#: x <= 0), with f1 below and beside it.
+SAME_DIRECTION = _hand_tree(
+    feature=[0, 0, 1, 1, LEAF, LEAF, LEAF, LEAF, LEAF],
+    threshold=[1.0, 0.0, 0.5, -1.0, 0, 0, 0, 0, 0],
+    children=[(1, 2), (3, 4), (5, 6), (7, 8), None, None, None, None, None],
+    cover=[20, 12, 8, 7, 5, 3, 5, 4, 3],
+    leaf_values={4: 1.5, 5: -2.0, 6: 0.25, 7: 3.0, 8: -0.75},
+)
+
+#: f0 split twice in opposite directions (x > 0, then x <= 1: the interval
+#: (0, 1]), with f1 below it, and f0 a third time on the x > 1 side.
+OPPOSITE_DIRECTIONS = _hand_tree(
+    feature=[0, 1, 0, 1, 0, LEAF, LEAF, LEAF, LEAF, LEAF, LEAF],
+    threshold=[0.0, 0.0, 1.0, 0.5, 2.0, 0, 0, 0, 0, 0, 0],
+    children=[(1, 2), (5, 6), (3, 4), (7, 8), (9, 10),
+              None, None, None, None, None, None],
+    cover=[30, 10, 20, 12, 8, 4, 6, 5, 7, 2, 6],
+    leaf_values={5: -1.0, 6: 2.0, 7: 0.5, 8: -3.0, 9: 4.0, 10: 1.25},
+)
+
+
+class TestPathMerge:
+    """Repeated features on a path merge into one path element; each case
+    is checked against the brute-force oracle."""
+
+    @pytest.mark.parametrize("tree", [SAME_DIRECTION, OPPOSITE_DIRECTIONS],
+                             ids=["same_direction", "opposite_directions"])
+    def test_repeated_feature_matches_brute_force(self, tree):
+        for x0 in (-np.inf, -2.0, -0.5, 0.25, 0.75, 1.5, 3.0, np.inf):
+            for x1 in (-np.inf, -2.0, 0.2, 1.0):
+                x = np.array([x0, x1, 7.0])
+                phi = shap_single_tree(tree, x, 3)
+                assert np.abs(phi - _brute_force_shap(tree, x, 3)).max() <= 1e-12
+                assert phi[2, 0] == 0.0
+
+    @pytest.mark.parametrize("tree", [SAME_DIRECTION, OPPOSITE_DIRECTIONS],
+                             ids=["same_direction", "opposite_directions"])
+    def test_value_on_a_threshold_routes_left(self, tree):
+        # every x0 / x1 below sits exactly on one of the trees' thresholds
+        for x0 in (-1.0, 0.0, 0.5, 1.0, 2.0):
+            for x1 in (-1.0, 0.0, 0.5):
+                x = np.array([x0, x1, 0.0])
+                phi = shap_single_tree(tree, x, 3)
+                assert np.abs(phi - _brute_force_shap(tree, x, 3)).max() <= 1e-12
+                local = phi.sum(axis=0) + tree.expected_value()
+                assert np.abs(local - tree.predict(x[None, :])[0]).max() <= 1e-12
+
+    def test_root_leaf_tree(self):
+        tree = Tree(np.array([LEAF]), np.array([0.0]), np.array([LEAF]),
+                    np.array([LEAF]), np.array([[0.3, 0.7]]), np.array([9.0]))
+        x = np.array([0.1, -4.0])
+        phi = shap_single_tree(tree, x, 2)
+        assert phi.shape == (2, 2) and np.all(phi == 0.0)
+        assert np.abs(phi - _brute_force_shap(tree, x, 2)).max() <= 1e-12
+
+    def test_ensemble_of_root_leaf_trees(self):
+        rng = np.random.default_rng(10)
+        data = _random_data(rng, n=40, d=3)
+        # no node holds 2 * 40 rows, so every tree is a single leaf
+        model = train_tree_ensemble(
+            data, TrainConfig(kind="boosting", n_trees=3, min_samples_leaf=40))
+        assert all(t.n_nodes == 1 for t in model.trees)
+        att = tree_shap(model, data.X[0])
+        assert np.all(att.phi == 0.0)
+        assert np.abs(att.margin() - model.margins(data.X[:1])[0]).max() <= 1e-12
+
+    def test_three_class_bagging_tree(self):
+        rng = np.random.default_rng(11)
+        data = _random_data(rng, n=90, d=5, n_classes=3)
+        model = train_tree_ensemble(
+            data, TrainConfig(kind="bagging", n_trees=4, seed=3, min_samples_leaf=1))
+        merged = 0
+        for tree in model.trees:
+            assert tree.n_out == 3
+            merged += _has_repeated_feature(tree)
+            for _ in range(4):
+                x = rng.normal(size=5)
+                phi = shap_single_tree(tree, x, 5)
+                assert np.abs(phi - _brute_force_shap(tree, x, 5)).max() <= 1e-12
+        assert merged > 0  # the unpruned trees exercise the path merge
+
+
+def _has_repeated_feature(tree: Tree, node=0, seen=frozenset()) -> bool:
+    f = tree.feature[node]
+    if f == LEAF:
+        return False
+    if f in seen:
+        return True
+    return (_has_repeated_feature(tree, tree.left[node], seen | {f})
+            or _has_repeated_feature(tree, tree.right[node], seen | {f}))
+
+
+class TestExpectedValue:
+    def test_bit_equal_to_recursive_formula(self):
+        rng = np.random.default_rng(12)
+        checked = 0
+        for kind, n_classes in (("boosting", 2), ("boosting", 3), ("bagging", 3)):
+            data = _random_data(rng, n=80, d=6, n_classes=n_classes)
+            cfg = TrainConfig(kind=kind, n_trees=6, seed=4,
+                              max_depth=5 if kind == "boosting" else None,
+                              min_samples_leaf=1)
+            for tree in train_tree_ensemble(data, cfg).trees:
+                # with nothing revealed, the oracle is the old recursion
+                want = _conditional_expectation(tree, None, set())
+                assert tree.expected_value().tobytes() == want.tobytes()
+                checked += 1
+        assert checked == 6 * 2 + 6 * 3 + 6
 
 
 class TestLinearShap:
