@@ -222,12 +222,12 @@ def evaluate_fold(matrix, model_cfg, train_subjects, test_subjects):
     train = matrix.subset(matrix.rows_for_subjects(train_subjects))
     test = matrix.subset(matrix.rows_for_subjects(test_subjects))
     model = train_model(train, model_cfg)
-    scores = model.predict_scores(test.X)
     # Every family but k-NN predicts the argmax of its scores; k-NN breaks
-    # vote ties by neighbor distance.
+    # vote ties by neighbor distance, from the search that gives its scores.
     if model.kind == "knn":
-        y_pred = model.predict_class(test.X)
+        y_pred, scores = model.predict_class(test.X, with_scores=True)
     else:
+        scores = model.predict_scores(test.X)
         y_pred = argmax_class(scores, model.classes)
     return {
         "test_subjects": sorted(test_subjects),

@@ -7,6 +7,11 @@ signal energy, and per-axis ACC mean/std. Mean/std features use population
 moments; SDNN is the Bessel-corrected standard deviation of the beat
 intervals (standard HRV convention).
 
+Peaks (SCR and BVP systolic) are strict local maxima filtered by
+topographic prominence, computed for all peaks at once from range-max and
+range-min sparse tables (scipy's definition, bit for bit), then thinned to
+a minimum separation, taller peaks first.
+
 Values are assembled in schema order into fixed-length vectors; optional
 features (HRV with too few beats) carry NaN and are imputed downstream at
 model-fit time.
@@ -53,29 +58,62 @@ def local_maxima(y: np.ndarray) -> np.ndarray:
     return np.flatnonzero((mid > y[:-2]) & (mid > y[2:])) + 1
 
 
+def _sparse_tables(y: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Range-max and range-min tables: level k holds the max (min) of every
+    run ``y[i:i + 2**k]``."""
+    mx, mn = [y], [y]
+    span = 1
+    while 2 * span <= len(y):
+        mx.append(np.maximum(mx[-1][:-span], mx[-1][span:]))
+        mn.append(np.minimum(mn[-1][:-span], mn[-1][span:]))
+        span *= 2
+    return mx, mn
+
+
 def peak_prominences(y: np.ndarray, peaks: np.ndarray) -> np.ndarray:
-    """Topographic prominence of each peak (scipy-compatible definition)."""
-    proms = np.empty(len(peaks))
+    """Topographic prominence of each peak (scipy-compatible definition).
+
+    Each flank of peak p runs outward while samples stay ``<= y[p]``. Binary
+    lifting on a range-max sparse table finds the flank ends of every peak
+    at once; a range-min query over each flank gives its lowest sample. Max
+    and min are exact, so the result is bit-equal to walking the flanks.
+    """
+    y = np.asarray(y)
+    peaks = np.asarray(peaks, dtype=np.intp)
+    if len(peaks) == 0:
+        return np.empty(0)
     n = len(y)
-    for k, p in enumerate(peaks):
-        h = y[p]
-        left_min = h
-        i = p - 1
-        while i >= 0 and y[i] <= h:
-            left_min = min(left_min, y[i])
-            i -= 1
-        right_min = h
-        i = p + 1
-        while i < n and y[i] <= h:
-            right_min = min(right_min, y[i])
-            i += 1
-        proms[k] = h - max(left_min, right_min)
-    return proms
+    mx, mn = _sparse_tables(y)
+    h = y[peaks]
+    lo = peaks  # the flanks are y[lo:p + 1] and y[p:hi + 1]
+    hi = peaks
+    for k in range(len(mx) - 1, -1, -1):
+        span = 1 << k
+        ok = lo >= span
+        ok &= mx[k][np.where(ok, lo - span, 0)] <= h
+        lo = np.where(ok, lo - span, lo)
+        ok = hi + span < n
+        ok &= mx[k][np.where(ok, hi + 1, 0)] <= h
+        hi = np.where(ok, hi + span, hi)
+    base = np.maximum(_range_min(mn, lo, peaks), _range_min(mn, peaks, hi))
+    # A flank whose lowest sample equals the peak leaves the walk's minimum
+    # at the peak's own value, which fixes the sign of a zero prominence.
+    return np.asarray(h - np.where(base == h, h, base), dtype=np.float64)
+
+
+def _range_min(mn: list[np.ndarray], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``min(y[lo:hi + 1])`` per pair, from two overlapping table runs."""
+    level = np.frexp(hi - lo + 1)[1] - 1
+    out = np.empty(len(lo), dtype=mn[0].dtype)
+    for k in np.unique(level).tolist():
+        sel = level == k
+        out[sel] = np.minimum(mn[k][lo[sel]], mn[k][hi[sel] - (1 << k) + 1])
+    return out
 
 
 def select_peaks(y: np.ndarray, min_prominence: float, min_distance: int) -> np.ndarray:
     """Local maxima filtered by prominence, then thinned to the minimum
-    separation keeping taller peaks first."""
+    separation keeping taller peaks first (the earlier one on equal height)."""
     peaks = local_maxima(y)
     if len(peaks) == 0:
         return peaks
@@ -83,15 +121,22 @@ def select_peaks(y: np.ndarray, min_prominence: float, min_distance: int) -> np.
     peaks = peaks[proms >= min_prominence]
     if len(peaks) <= 1 or min_distance <= 1:
         return peaks
-    order = sorted(range(len(peaks)), key=lambda i: (-y[peaks[i]], peaks[i]))
-    keep = np.ones(len(peaks), dtype=bool)
-    for i in order:
+    # Peaks ascend, so the ones a kept peak suppresses are its neighbours
+    # on either side, out to min_distance.
+    pos = peaks.tolist()
+    keep = [True] * len(pos)
+    for i in np.lexsort((peaks, -y[peaks])).tolist():
         if not keep[i]:
             continue
-        for j in range(len(peaks)):
-            if j != i and keep[j] and abs(int(peaks[j]) - int(peaks[i])) < min_distance:
-                keep[j] = False
-    return peaks[keep]
+        j = i - 1
+        while j >= 0 and pos[i] - pos[j] < min_distance:
+            keep[j] = False
+            j -= 1
+        j = i + 1
+        while j < len(pos) and pos[j] - pos[i] < min_distance:
+            keep[j] = False
+            j += 1
+    return peaks[np.array(keep)]
 
 
 # --- feature operations -----------------------------------------------------

@@ -21,6 +21,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -146,25 +147,58 @@ def _parse_float(text: str, what: str) -> float:
 
 
 def _lines(data: bytes | str) -> list[str]:
+    """Physical lines of a file, stripped; blank lines stay as ''."""
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     return [ln.strip() for ln in text.splitlines()]
 
 
+def _raise_bad_sample(physical: list[str], n_fields: int) -> NoReturn:
+    """Raise the typed error of the first malformed sample row, numbered by
+    its physical line in the file; the first two non-blank lines are the
+    header."""
+    rows = 0
+    for line_no, ln in enumerate(physical, 1):
+        if not ln:
+            continue
+        rows += 1
+        if rows <= 2:
+            continue
+        fields = ln.split(",") if n_fields > 1 else [ln]
+        if len(fields) != n_fields:
+            raise RaggedRow(line_no, ln)
+        for f in fields:
+            if not math.isfinite(_parse_float(f, "sample")):
+                raise NonFiniteSample(line_no, ln)
+    raise MalformedHeader("sample body does not parse")
+
+
+def _parse_body(physical: list[str], body: list[str], n_fields: int) -> np.ndarray:
+    """The samples of the body rows, flat, converted in one call. If any row
+    is malformed, the per-line locator raises its typed error instead."""
+    if n_fields > 1:
+        if any(ln.count(",") != n_fields - 1 for ln in body):
+            _raise_bad_sample(physical, n_fields)
+        body = ",".join(body).split(",") if body else []
+    try:
+        values = np.array(body, dtype=np.float64)
+    except ValueError:
+        values = None
+    if values is None or not np.isfinite(values).all():
+        _raise_bad_sample(physical, n_fields)
+    return values
+
+
 def parse_channel(data: bytes | str) -> SampledSeries:
     """Parse a single-channel E4 file: epoch line, rate line, one sample per line."""
-    lines = [ln for ln in _lines(data) if ln]
+    physical = _lines(data)
+    lines = [ln for ln in physical if ln]
     if len(lines) < 2:
         raise MalformedHeader("file must have a start-epoch line and a rate line")
     start = _parse_float(lines[0].split(",")[0], "start epoch")
     rate = _parse_float(lines[1].split(",")[0], "sampling rate")
     if rate <= 0:
         raise MalformedHeader(f"sampling rate must be > 0, got {rate}")
-    values = np.empty(len(lines) - 2)
-    for i, ln in enumerate(lines[2:]):
-        v = _parse_float(ln, "sample")
-        if not math.isfinite(v):
-            raise NonFiniteSample(i + 3, ln)
-        values[i] = v
+    values = _parse_body(physical, lines[2:], 1)
     if len(values) == 0:
         raise EmptyStream("no samples after header")
     return SampledSeries(start, rate, values)
@@ -172,7 +206,8 @@ def parse_channel(data: bytes | str) -> SampledSeries:
 
 def parse_acc(data: bytes | str) -> tuple[SampledSeries, SampledSeries, SampledSeries]:
     """Parse the three-axis ACC file; raw counts are converted to g (/64)."""
-    lines = [ln for ln in _lines(data) if ln]
+    physical = _lines(data)
+    lines = [ln for ln in physical if ln]
     if len(lines) < 2:
         raise MalformedHeader("ACC file must have epoch and rate header lines")
     starts = [_parse_float(f, "start epoch") for f in lines[0].split(",")]
@@ -181,16 +216,7 @@ def parse_acc(data: bytes | str) -> tuple[SampledSeries, SampledSeries, SampledS
         raise MalformedHeader("ACC header lines must carry three comma-separated fields")
     if any(r <= 0 for r in rates):
         raise MalformedHeader(f"sampling rates must be > 0, got {rates}")
-    rows = np.empty((len(lines) - 2, 3))
-    for i, ln in enumerate(lines[2:]):
-        fields = ln.split(",")
-        if len(fields) != 3:
-            raise RaggedRow(i + 3, ln)
-        for j, f in enumerate(fields):
-            v = _parse_float(f, "sample")
-            if not math.isfinite(v):
-                raise NonFiniteSample(i + 3, ln)
-            rows[i, j] = v
+    rows = _parse_body(physical, lines[2:], 3).reshape(-1, 3)
     if rows.shape[0] == 0:
         raise EmptyStream("no ACC samples after header")
     rows = rows / ACC_COUNTS_PER_G

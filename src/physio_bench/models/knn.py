@@ -45,37 +45,39 @@ class KnnModel:
         dist = np.sqrt(np.take_along_axis(d2, order, axis=1))
         return order, dist
 
+    def _votes(self, order: np.ndarray) -> np.ndarray:
+        """Neighbour count of each class per row, ``(rows, K)``."""
+        nbr_classes = self.point_classes[order]
+        return (nbr_classes[:, :, None] == np.arange(len(self.classes))).sum(axis=1)
+
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Vote fractions among the k neighbors."""
         order, _ = self._neighbors(X)
-        K = len(self.classes)
-        out = np.zeros((order.shape[0], K))
-        for i in range(order.shape[0]):
-            votes = np.bincount(self.point_classes[order[i]], minlength=K)
-            out[i] = votes / self.k
-        return out
+        return self._votes(order) / self.k
 
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
         return self.predict_proba(X)
 
-    def predict_class(self, X: np.ndarray) -> np.ndarray:
+    def predict_class(self, X: np.ndarray, with_scores: bool = False):
+        """Majority class per row. With ``with_scores``, returns
+        ``(labels, vote fractions)`` from the same neighbour search."""
         order, dist = self._neighbors(X)
-        K = len(self.classes)
+        votes = self._votes(order)
         labels = np.empty(order.shape[0], dtype=object)
         for i in range(order.shape[0]):
-            nbr_classes = self.point_classes[order[i]]
-            votes = np.bincount(nbr_classes, minlength=K)
-            top = votes.max()
-            tied = np.flatnonzero(votes == top)
+            tied = np.flatnonzero(votes[i] == votes[i].max())
             if len(tied) == 1:
                 labels[i] = self.classes[tied[0]]
                 continue
+            nbr_classes = self.point_classes[order[i]]
             mean_dist = np.array(
                 [dist[i][nbr_classes == c].mean() for c in tied]
             )
             # Smaller mean distance wins; argmin takes the smaller class
             # index on exact ties.
             labels[i] = self.classes[tied[int(np.argmin(mean_dist))]]
+        if with_scores:
+            return labels, votes / self.k
         return labels
 
     def to_dict(self) -> dict:

@@ -227,3 +227,40 @@ class TestRunProtocol:
         assert len(results["per_fold"]) == 6
         total = np.array(results["confusion"]).sum()
         assert total == n
+
+
+class TestKnnFold:
+    def test_one_neighbour_search_per_fold(self, monkeypatch):
+        from physio_bench.models import DataMatrix, TrainConfig, train_model
+        from physio_bench.models.base import argmax_class
+        from physio_bench.models.knn import KnnModel
+
+        rng = np.random.default_rng(9)
+        n = 120
+        # An even k over three classes gives vote ties, which k-NN breaks by
+        # neighbour distance rather than by the argmax of its scores.
+        X = rng.normal(size=(n, 2))
+        y = np.array(["a", "b", "c"], dtype=object)[rng.integers(0, 3, size=n)]
+        groups = np.array([f"s{i % 6}" for i in range(n)], dtype=object)
+        data = DataMatrix(X, y, groups, ["f0", "f1"])
+        cfg = TrainConfig(kind="knn", knn_k=4)
+        calls = []
+        search = KnnModel._neighbors
+
+        def counted(self, X):
+            calls.append(len(X))
+            return search(self, X)
+
+        monkeypatch.setattr(KnnModel, "_neighbors", counted)
+        tie_broken = 0
+        for train, test in ev.loso_folds(sorted(set(groups))).folds:
+            calls.clear()
+            fold = ev.evaluate_fold(data, cfg, train, test)
+            assert len(calls) == 1
+            model = train_model(data.subset(data.rows_for_subjects(train)), cfg)
+            test_X = data.subset(data.rows_for_subjects(test)).X
+            assert list(fold["y_pred"]) == list(model.predict_class(test_X))
+            tie_broken += int((argmax_class(fold["scores"], model.classes)
+                               != fold["y_pred"]).sum())
+            assert fold["scores"].tobytes() == model.predict_scores(test_X).tobytes()
+        assert tie_broken > 0

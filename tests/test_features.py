@@ -66,6 +66,102 @@ class TestScrPeaks:
             assert mine == len(ref)
 
 
+def _reference_prominences(y, peaks):
+    """The flank walk the sparse-table prominence replaced."""
+    proms = np.empty(len(peaks))
+    for k, p in enumerate(peaks):
+        h = y[p]
+        left_min = h
+        i = p - 1
+        while i >= 0 and y[i] <= h:
+            left_min = min(left_min, y[i])
+            i -= 1
+        right_min = h
+        i = p + 1
+        while i < len(y) and y[i] <= h:
+            right_min = min(right_min, y[i])
+            i += 1
+        proms[k] = h - max(left_min, right_min)
+    return proms
+
+
+def _reference_select_peaks(y, min_prominence, min_distance):
+    """The O(P^2) thinning the neighbour scan replaced."""
+    peaks = F.local_maxima(y)
+    if len(peaks) == 0:
+        return peaks
+    peaks = peaks[_reference_prominences(y, peaks) >= min_prominence]
+    if len(peaks) <= 1 or min_distance <= 1:
+        return peaks
+    order = sorted(range(len(peaks)), key=lambda i: (-y[peaks[i]], peaks[i]))
+    keep = np.ones(len(peaks), dtype=bool)
+    for i in order:
+        if not keep[i]:
+            continue
+        for j in range(len(peaks)):
+            if j != i and keep[j] and abs(int(peaks[j]) - int(peaks[i])) < min_distance:
+                keep[j] = False
+    return peaks[keep]
+
+
+def _peak_fuzz_set():
+    """Seeded signals covering ties, plateaus, monotone runs, edge maxima
+    and BVP-like waveforms; n runs from 3 to a few hundred."""
+    rng = np.random.default_rng(20)
+    signals = [
+        np.array([1.0, 3.0, 1.0]),
+        np.arange(50.0),
+        np.arange(50.0)[::-1].copy(),
+        np.array([9.0, 1, 2, 1, 3, 1, 2, 1]),       # global max at the left edge
+        np.array([1.0, 2, 1, 3, 1, 2, 1, 9]),       # ... and at the right edge
+        np.array([0.0, 2, 2, 1, 2, 0, 2, 1, 2, 2, 0]),
+    ]
+    for _ in range(30):
+        n = int(rng.integers(3, 400))
+        signals.append(rng.normal(size=n))
+        signals.append(np.round(rng.normal(size=n), 1))
+        signals.append(np.round(np.cumsum(rng.normal(size=n)), 0))
+        t = np.arange(n) / 64.0
+        bvp = np.sin(2 * np.pi * rng.uniform(0.8, 2.5) * t) + 0.2 * rng.normal(size=n)
+        signals.append(bvp)
+        signals.append(np.round(bvp, 1))
+    return signals
+
+
+class TestPeakKernels:
+    def test_prominences_equal_scipy(self):
+        scipy_signal = pytest.importorskip("scipy.signal")
+        for y in _peak_fuzz_set():
+            peaks = F.local_maxima(y)
+            if len(peaks) == 0:
+                continue
+            ref, _, _ = scipy_signal.peak_prominences(y, peaks)
+            assert np.array_equal(F.peak_prominences(y, peaks), ref)
+
+    def test_prominences_bit_equal_flank_walk(self):
+        rng = np.random.default_rng(21)
+        signals = _peak_fuzz_set()
+        # Signed zeros on plateaus: a zero prominence keeps the walk's sign.
+        signals.append(rng.integers(-1, 2, size=300) * rng.choice([0.0, -0.0, 1.0], size=300))
+        for y in signals:
+            peaks = np.unique(rng.integers(0, len(y), size=8))
+            for idx in (F.local_maxima(y), peaks):
+                got = F.peak_prominences(y, idx)
+                assert got.tobytes() == _reference_prominences(y, idx).tobytes()
+
+    def test_no_peaks(self):
+        assert F.peak_prominences(np.arange(5.0), np.empty(0, dtype=int)).shape == (0,)
+
+    @pytest.mark.parametrize("min_distance", [1, 2, 5, 21])
+    def test_select_peaks_equals_reference_thinning(self, min_distance):
+        for y in _peak_fuzz_set():
+            for prominence in (0.0, 0.3):
+                got = F.select_peaks(y, prominence, min_distance)
+                ref = _reference_select_peaks(y, prominence, min_distance)
+                assert got.dtype == ref.dtype
+                assert np.array_equal(got, ref)
+
+
 class TestEdaFeatures:
     def test_constant_window(self):
         mean, std, slope, peaks = F.eda_features(np.full(120, 0.3), 4.0)

@@ -71,6 +71,130 @@ class TestParseAcc:
             ingest.parse_acc(b"1,1\n32,32\n1,2,3\n")
 
 
+def _channel_file(body, newline="\n"):
+    return newline.join(["0", "4", *body]).encode() + newline.encode()
+
+
+def _acc_file(body, newline="\n"):
+    return newline.join(["1,1,1", "32,32,32", *body]).encode() + newline.encode()
+
+
+def _random_floats(rng, n):
+    return (rng.normal(size=n) * 10.0 ** rng.integers(-6, 7, size=n)).tolist()
+
+
+class TestBulkParse:
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_channel_bit_equal_per_line_float(self, newline):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            body = [repr(v) for v in _random_floats(rng, int(rng.integers(1, 300)))]
+            s = ingest.parse_channel(_channel_file(body, newline))
+            ref = np.array([float(ln) for ln in body])
+            assert s.values.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_acc_bit_equal_per_line_float(self, newline):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            n = int(rng.integers(1, 200))
+            vals = _random_floats(rng, 3 * n)
+            body = [",".join(map(repr, vals[3 * i:3 * i + 3])) for i in range(n)]
+            axes = ingest.parse_acc(_acc_file(body, newline))
+            ref = np.array([[float(f) for f in ln.split(",")] for ln in body]) / 64.0
+            for j in range(3):
+                assert axes[j].values.tobytes() == ref[:, j].copy().tobytes()
+
+
+_POSITIONS = {"first": 0, "middle": 2, "last": 4}
+
+
+def _body_with(bad, at, good="1.5"):
+    body = [good] * 5
+    body[at] = bad
+    return body
+
+
+class TestBulkParseErrors:
+    """Each malformed sample raises the per-line parser's typed error and
+    line number, wherever it sits in the body."""
+
+    @pytest.mark.parametrize("at", _POSITIONS.values(), ids=_POSITIONS.keys())
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e400"])
+    def test_channel_non_finite(self, bad, at):
+        with pytest.raises(NonFiniteSample) as exc:
+            ingest.parse_channel(_channel_file(_body_with(bad, at)))
+        assert exc.value.line_no == at + 3
+
+    @pytest.mark.parametrize("at", _POSITIONS.values(), ids=_POSITIONS.keys())
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e400"])
+    def test_acc_non_finite(self, bad, at):
+        body = _body_with(f"1,{bad},2", at, good="1,2,3")
+        with pytest.raises(NonFiniteSample) as exc:
+            ingest.parse_acc(_acc_file(body))
+        assert exc.value.line_no == at + 3
+
+    @pytest.mark.parametrize("at", _POSITIONS.values(), ids=_POSITIONS.keys())
+    @pytest.mark.parametrize("bad", ["1,2", "1,2,3,4"])
+    def test_acc_ragged(self, bad, at):
+        with pytest.raises(RaggedRow) as exc:
+            ingest.parse_acc(_acc_file(_body_with(bad, at, good="1,2,3")))
+        assert exc.value.line_no == at + 3
+
+    @pytest.mark.parametrize("at", _POSITIONS.values(), ids=_POSITIONS.keys())
+    def test_channel_non_numeric(self, at):
+        with pytest.raises(MalformedHeader, match="non-numeric sample"):
+            ingest.parse_channel(_channel_file(_body_with("abc", at)))
+
+    @pytest.mark.parametrize("at", _POSITIONS.values(), ids=_POSITIONS.keys())
+    @pytest.mark.parametrize("bad", ["1,,2", "1,x,2"])
+    def test_acc_non_numeric(self, bad, at):
+        with pytest.raises(MalformedHeader, match="non-numeric sample"):
+            ingest.parse_acc(_acc_file(_body_with(bad, at, good="1,2,3")))
+
+    def test_first_bad_row_wins(self):
+        # A non-finite row before a ragged one is reported, as a per-row
+        # scan meets it first.
+        with pytest.raises(NonFiniteSample) as exc:
+            ingest.parse_acc(_acc_file(["1,2,3", "nan,1,1", "1,2"]))
+        assert exc.value.line_no == 4
+
+    def test_empty_bodies(self):
+        with pytest.raises(EmptyStream):
+            ingest.parse_channel(_channel_file([]))
+        with pytest.raises(EmptyStream):
+            ingest.parse_acc(_acc_file([]))
+
+
+class TestPhysicalLineNumbers:
+    """Blank lines count toward the reported line number."""
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_channel_blank_line_before_bad_sample(self, newline):
+        data = newline.join(["0", "4", "1.0", "", "2.0", "nan", ""]).encode()
+        with pytest.raises(NonFiniteSample) as exc:
+            ingest.parse_channel(data)
+        assert exc.value.line_no == 6
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_acc_blank_line_before_ragged_row(self, newline):
+        data = newline.join(["1,1,1", "32,32,32", "", "1,2,3", "1,2", ""]).encode()
+        with pytest.raises(RaggedRow) as exc:
+            ingest.parse_acc(data)
+        assert exc.value.line_no == 5
+
+    def test_blank_lines_before_header(self):
+        with pytest.raises(NonFiniteSample) as exc:
+            ingest.parse_channel(b"\n\n0\n4\n1.0\ninf\n")
+        assert exc.value.line_no == 6
+
+    def test_blank_lines_still_skipped_on_success(self):
+        s = ingest.parse_channel(b"0\n4\n1.0\n\n  \n2.0\n")
+        assert list(s.values) == [1.0, 2.0]
+        x, _, _ = ingest.parse_acc(b"1,1,1\n32,32,32\n64,0,0\n\n128,0,0\n")
+        assert list(x.values) == [1.0, 2.0]
+
+
 class TestParseIbi:
     def test_basic_events(self):
         events, dropped = ingest.parse_ibi(b"1602000000.0, IBI\n1.2,0.80\n2.0,0.80\n")
