@@ -45,8 +45,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 
-#: Fields that steer execution but never change results; excluded from
-#: provenance so reruns at other parallelism levels stay byte-identical.
+#: Fields that never change results, excluded from provenance so reruns
+#: stay byte-identical. Every stage runs serially: `jobs` is still parsed
+#: and validated for existing command lines and config documents, and has
+#: no effect.
 _EXECUTION_FIELDS = {"out", "jobs"}
 
 
@@ -210,7 +212,7 @@ def _load_table(cfg: RunConfig) -> FeatureTable:
 
     if cfg.features is None:
         table, _ = extract_table(_need_manifest(cfg), cfg.window_policy(),
-                                 cfg.schema, cfg.feature_config(), cfg.jobs)
+                                 cfg.schema, cfg.feature_config())
         return table
     if not Path(cfg.features).is_file():
         raise ConfigError(f"feature CSV not found: {cfg.features}")
@@ -231,7 +233,7 @@ def cmd_extract(cfg: RunConfig) -> int:
     from .pipeline import dump_json, extract_table, write_table
 
     table, report = extract_table(_need_manifest(cfg), cfg.window_policy(),
-                                  cfg.schema, cfg.feature_config(), cfg.jobs)
+                                  cfg.schema, cfg.feature_config())
     out = _out_dir(cfg)
     write_table(out / "features.csv", table, cfg.provenance())
     report_doc = {"provenance": cfg.provenance(), "report": report}
@@ -390,7 +392,7 @@ def cmd_synth(cfg: RunConfig) -> int:
 def cmd_summary(cfg: RunConfig) -> int:
     from .pipeline import dump_json, summary_doc
 
-    doc = summary_doc(_need_manifest(cfg), cfg.jobs)
+    doc = summary_doc(_need_manifest(cfg))
     doc["provenance"] = cfg.provenance()
     out = _out_dir(cfg)
     (out / "summary.json").write_text(dump_json(doc))

@@ -21,6 +21,7 @@ from .errors import (
     TooFewSubjects,
     UnknownLabel,
 )
+from .stats import average_ranks
 
 
 @dataclass
@@ -182,23 +183,9 @@ def roc_auc(scores, labels) -> float:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise SingleClassPresent("AUC needs both classes present")
-    ranks = _average_ranks(scores)
+    ranks = average_ranks(scores)
     u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
-
-
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(len(x))
-    sx = x[order]
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
 
 
 def roc_auc_macro_ovr(scores: np.ndarray, labels, classes: list[str]) -> float:

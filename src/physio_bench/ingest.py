@@ -147,9 +147,11 @@ def _parse_float(text: str, what: str) -> float:
 
 
 def _lines(data: bytes | str) -> list[str]:
-    """Physical lines of a file, stripped; blank lines stay as ''."""
+    """Physical lines of a file, stripped; blank lines stay as ''. Only
+    LF ends a line (CRLF's CR is stripped); `str.splitlines` would also
+    split on form feeds, separators and the like inside a row."""
     text = data.decode("utf-8") if isinstance(data, bytes) else data
-    return [ln.strip() for ln in text.splitlines()]
+    return [ln.strip() for ln in text.split("\n")]
 
 
 def _raise_bad_sample(physical: list[str], n_fields: int) -> NoReturn:

@@ -56,15 +56,8 @@ def predict_class(model, X: np.ndarray) -> np.ndarray:
 
 def model_to_json(model) -> str:
     doc = model.to_dict()
-    doc["model_kind"] = _kind_name(model)
+    doc["model_kind"] = model.kind
     return json.dumps(doc, sort_keys=True)
-
-
-def _kind_name(model) -> str:
-    for name, cls in _MODEL_CLASSES.items():
-        if isinstance(model, cls):
-            return name
-    raise SchemaMismatch(f"unknown model type {type(model)!r}")
 
 
 def model_from_json(text: str):

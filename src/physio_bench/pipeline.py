@@ -1,10 +1,12 @@
-"""End-to-end orchestration shared by the CLI commands."""
+"""End-to-end orchestration shared by the CLI commands.
+
+Sessions are loaded, windowed and summarised one after another in
+manifest order, so every artifact is the same at any `--jobs` level."""
 
 from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,7 @@ from .features import (
     table_from_csv,
     table_to_csv,
 )
-from .ingest import Recording, load_manifest, load_session
+from .ingest import ManifestEntry, load_dataset, load_manifest, load_session
 from .windowing import WindowPolicy, segment_with_report
 
 log = logging.getLogger("physio_bench.pipeline")
@@ -49,26 +51,37 @@ def dump_json(doc: dict) -> str:
     return json.dumps(jsonable(doc), indent=1, sort_keys=True) + "\n"
 
 
-def _map_sessions(fn, entries, jobs: int) -> list:
-    """`fn` over manifest entries, results in manifest order. With
-    `jobs` > 1 the sessions are loaded and windowed on that many threads;
-    this is the only place `--jobs` runs anything concurrently."""
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, entries))
-    return [fn(e) for e in entries]
-
-
-def load_recordings(manifest_path: str | Path, jobs: int = 1) -> list[Recording]:
-    entries, base = load_manifest(manifest_path)
-    return _map_sessions(lambda entry: load_session(base / entry.path, entry),
-                        entries, jobs)
+def _session_windows(path: Path, entry: ManifestEntry, policy: WindowPolicy
+                     ) -> tuple[list, dict]:
+    """One session's windows and its extract-report entry; an unusable
+    session gives no windows and the reason it was skipped. The raw
+    recording is released on return, so only one is held at a time."""
+    try:
+        rec = load_session(path, entry)
+        windows, report = segment_with_report(rec, policy)
+    except NoChannels as e:
+        return [], {"skipped": f"no channels: {e}"}
+    except NoUsableSpan as e:
+        return [], {"skipped": f"no usable span: {e}"}
+    screen = {
+        name: vars(s) for name, s in rec.screening.items()
+        if s.present and (s.empty or s.dropout_runs)
+    }
+    return windows, {
+        "candidates": report.candidates,
+        "retained": report.retained,
+        "dropped_fill": report.dropped_fill,
+        "dropped_label": report.dropped_label,
+        "screening_flags": screen,
+        "ibi_rows_dropped": rec.ibi_dropped,
+    }
 
 
 def extract_table(manifest_path: str | Path, policy: WindowPolicy,
-                  schema_name: str, feature_cfg: FeatureConfig = DEFAULT_FEATURE_CONFIG,
-                  jobs: int = 1) -> tuple[FeatureTable, dict]:
-    """Manifest to assembled feature table, skipping unusable sessions."""
+                  schema_name: str, feature_cfg: FeatureConfig = DEFAULT_FEATURE_CONFIG
+                  ) -> tuple[FeatureTable, dict]:
+    """Manifest to assembled feature table, skipping unusable sessions.
+    Sessions are loaded and windowed serially, in manifest order."""
     if schema_name not in SCHEMA_PRESETS:
         from .errors import SchemaMismatch
         raise SchemaMismatch(
@@ -77,36 +90,13 @@ def extract_table(manifest_path: str | Path, policy: WindowPolicy,
     schema = SCHEMA_PRESETS[schema_name]
     entries, base = load_manifest(manifest_path)
 
-    def process(entry):
-        try:
-            rec = load_session(base / entry.path, entry)
-        except NoChannels as e:
-            return entry.subject_id, None, {"skipped": f"no channels: {e}"}
-        try:
-            windows, report = segment_with_report(rec, policy)
-        except NoUsableSpan as e:
-            return entry.subject_id, None, {"skipped": f"no usable span: {e}"}
-        screen = {
-            name: vars(s) for name, s in rec.screening.items()
-            if s.present and (s.empty or s.dropout_runs)
-        }
-        info = {
-            "candidates": report.candidates,
-            "retained": report.retained,
-            "dropped_fill": report.dropped_fill,
-            "dropped_label": report.dropped_label,
-            "screening_flags": screen,
-            "ibi_rows_dropped": rec.ibi_dropped,
-        }
-        return entry.subject_id, windows, info
-
     windows = []
     sessions_report = {}
-    for subject_id, wlist, info in _map_sessions(process, entries, jobs):
-        sessions_report[subject_id] = info
-        if wlist:
-            windows.extend(wlist)
-        log.info("session %s: %s", subject_id, info)
+    for entry in entries:
+        session_windows, info = _session_windows(base / entry.path, entry, policy)
+        windows.extend(session_windows)
+        sessions_report[entry.subject_id] = info
+        log.info("session %s: %s", entry.subject_id, info)
     if not windows:
         raise DataError("no windows retained from any session")
     table = build_table(windows, schema, feature_cfg)
@@ -131,9 +121,10 @@ def read_table(path: str | Path, schema_name: str = "custom") -> FeatureTable:
     return table_from_csv(body, schema_name)
 
 
-def summary_doc(manifest_path: str | Path, jobs: int = 1) -> dict:
-    """Per-subject and cross-subject mean/std of each raw channel."""
-    recordings = load_recordings(manifest_path, jobs)
+def summary_doc(manifest_path: str | Path) -> dict:
+    """Per-subject and cross-subject mean/std of each raw channel, over the
+    manifest's sessions loaded serially in manifest order."""
+    recordings = load_dataset(manifest_path)
     per_subject: dict[str, dict] = {}
     channel_names = sorted({ch for r in recordings for ch in r.channels})
     for rec in recordings:

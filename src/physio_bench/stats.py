@@ -244,16 +244,15 @@ def paired_t(a, b) -> tuple[float, float]:
     return t, t_sf_two_sided(t, n - 1)
 
 
-def _signed_ranks(d: np.ndarray) -> np.ndarray:
-    """Average ranks of |d| after dropping zeros."""
-    mag = np.abs(d)
-    order = np.argsort(mag, kind="stable")
-    ranks = np.empty(len(d))
-    sm = mag[order]
+def average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of `x`; tied values share the mean of their ranks."""
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(len(x))
+    sx = x[order]
     i = 0
-    while i < len(d):
+    while i < len(x):
         j = i
-        while j + 1 < len(d) and sm[j + 1] == sm[i]:
+        while j + 1 < len(x) and sx[j + 1] == sx[i]:
             j += 1
         ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
         i = j + 1
@@ -271,7 +270,7 @@ def wilcoxon_signed_rank(a, b) -> tuple[float, float]:
     n = len(d)
     if n < 1:
         raise AllZeroDifferences("all paired differences are zero")
-    ranks = _signed_ranks(d)
+    ranks = average_ranks(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
     w_minus = float(ranks[d < 0].sum())
     w = min(w_plus, w_minus)

@@ -1,7 +1,9 @@
 """CLI contract: commands, exit codes, error JSON, config precedence."""
 
 import json
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -352,6 +354,17 @@ class TestConfigHandling:
         assert "jobs" not in prov["provenance"]["config"]
         assert "out" not in prov["provenance"]["config"]
 
+    def test_package_runs_no_pool(self):
+        # Every stage runs serially, which is what makes `--jobs` harmless.
+        import physio_bench
+        pattern = re.compile(r"concurrent\.futures|ThreadPoolExecutor|threading"
+                             r"|multiprocessing")
+        hits = [f"{path.name}:{n}"
+                for path in sorted(Path(physio_bench.__file__).parent.rglob("*.py"))
+                for n, line in enumerate(path.read_text().splitlines(), 1)
+                if pattern.search(line)]
+        assert hits == []
+
     @pytest.mark.parametrize(
         "flag", ["--learning-rate", "--reg-lambda", "--svm-c", "--l2", "--svm-sigma"])
     def test_nan_hyperparameter_is_config_error(self, tmp_path, monkeypatch,
@@ -447,10 +460,18 @@ class TestAblateSummary:
             assert rf["statistic"] == rb["statistic"]
             assert rf["f1_mean"] == rb["f1_mean"]
 
-    def test_summary_structure(self, synth_data, tmp_path, monkeypatch):
+    def test_summary_structure(self, synth_data, tmp_path, monkeypatch, capfd):
+        for jobs in ("1", "2"):
+            assert _run(tmp_path, monkeypatch, [
+                "summary", "--manifest", "data/manifest.json", "--jobs", jobs,
+                "--out", "run" + jobs]) == 0
+        text = (tmp_path / "run1/summary.json").read_bytes()
+        assert (tmp_path / "run2/summary.json").read_bytes() == text
         assert _run(tmp_path, monkeypatch, [
-            "summary", "--manifest", "data/manifest.json", "--out", "run"]) == 0
-        doc = json.loads((tmp_path / "run/summary.json").read_text())
+            "summary", "--manifest", "data/manifest.json", "--jobs", "0",
+            "--out", "run0"]) == 2
+        assert "jobs must be >= 1" in _error(capfd)["message"]
+        doc = json.loads(text)
         assert set(doc["per_subject"]) == {"S000", "S001", "S002"}
         assert "EDA" in doc["cross_subject"]
         mom = doc["cross_subject"]["EDA"]["mean_of_means"]

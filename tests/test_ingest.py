@@ -188,6 +188,15 @@ class TestPhysicalLineNumbers:
             ingest.parse_channel(b"\n\n0\n4\n1.0\ninf\n")
         assert exc.value.line_no == 6
 
+    @pytest.mark.parametrize("data", [b"0\n4\n1.0\x0c2.0\n3.0\n",
+                                      b"0\n4\n1.0\x1cnan\n3.0\n"],
+                             ids=["form-feed", "file-separator"])
+    def test_only_lf_ends_a_line(self, data):
+        # A control character inside a row is part of that row, which is
+        # then not a number.
+        with pytest.raises(MalformedHeader, match="non-numeric sample"):
+            ingest.parse_channel(data)
+
     def test_blank_lines_still_skipped_on_success(self):
         s = ingest.parse_channel(b"0\n4\n1.0\n\n  \n2.0\n")
         assert list(s.values) == [1.0, 2.0]
