@@ -16,6 +16,7 @@ import numpy as np
 from .errors import ConfigError, EmptyMask, TooFewModalities
 from .evaluation import SplitPlan, accuracy_score, evaluate_fold, macro_f1_score
 from .models.base import DataMatrix, TrainConfig
+from .parallel import map_ordered
 from .stats import TestResult, compare_to_baseline, correct_batch
 
 
@@ -141,23 +142,29 @@ def balanced_grouped_folds(matrix: DataMatrix, k: int, seed: int) -> SplitPlan:
 
 def run_ablation(matrix: DataMatrix, model_cfg: TrainConfig, k: int = 5,
                  seed: int = 0, alpha: float = 0.05,
-                 correction: str = "fdr") -> list[AblationRow]:
+                 correction: str = "fdr", jobs: int = 1) -> list[AblationRow]:
     """Cross-validate every ablation configuration on one shared fold plan
-    and test each against the All baseline."""
+    and test each against the All baseline. The (config, fold) fits run on
+    `jobs` workers; the statistics run afterwards, in config order."""
     if model_cfg.kind != "boosting":
         raise ConfigError("the ablation grid standardizes on the boosting model")
     configs = enumerate_configs_for_matrix(matrix)
     plan = balanced_grouped_folds(matrix, k, seed)
 
+    def fit(item):
+        sub, (train_subj, test_subj) = item
+        rec = evaluate_fold(sub, model_cfg, train_subj, test_subj)
+        return (macro_f1_score(rec["y_true"], rec["y_pred"]),
+                accuracy_score(rec["y_true"], rec["y_pred"]))
+
+    subs = [mask_features(matrix, config) for config in configs]
+    scores = map_ordered(fit, [(sub, fold) for sub in subs for fold in plan.folds],
+                         jobs)
     rows: list[AblationRow] = []
     baseline_f1: list[float] | None = None
-    for config in configs:
-        sub = mask_features(matrix, config)
-        f1s, accs = [], []
-        for train_subj, test_subj in plan.folds:
-            rec = evaluate_fold(sub, model_cfg, train_subj, test_subj)
-            f1s.append(macro_f1_score(rec["y_true"], rec["y_pred"]))
-            accs.append(accuracy_score(rec["y_true"], rec["y_pred"]))
+    for i, config in enumerate(configs):
+        f1s = [f1 for f1, _ in scores[i * k:(i + 1) * k]]
+        accs = [acc for _, acc in scores[i * k:(i + 1) * k]]
         test = None
         if config.name == "All":
             baseline_f1 = f1s

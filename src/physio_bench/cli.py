@@ -46,9 +46,9 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 
 #: Fields that never change results, excluded from provenance so reruns
-#: stay byte-identical. Every stage runs serially: `jobs` is still parsed
-#: and validated for existing command lines and config documents, and has
-#: no effect.
+#: stay byte-identical. `jobs` is the number of forked workers that run
+#: the (config, fold) fits of ablate; every other stage runs serially.
+#: Results are put back in fit order, so it never changes an artifact.
 _EXECUTION_FIELDS = {"out", "jobs"}
 
 
@@ -329,7 +329,7 @@ def cmd_ablate(cfg: RunConfig) -> int:
 
     matrix = _load_matrix(cfg)
     rows = run_ablation(matrix, cfg.train_config(), cfg.folds, cfg.seed,
-                        cfg.alpha, cfg.correction)
+                        cfg.alpha, cfg.correction, cfg.jobs)
     out = _out_dir(cfg)
     (out / "ablation.csv").write_text(provenance_line(cfg.provenance())
                                       + ablation_csv(rows))

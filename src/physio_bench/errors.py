@@ -26,20 +26,31 @@ class MalformedHeader(DataError):
     pass
 
 
-class NonFiniteSample(DataError):
+class _LineError(DataError):
+    """A bad input line, named by its number and text. It pickles from
+    those two, so a pickle round trip keeps its message."""
+
+    what = ""
+
     def __init__(self, line_no: int, text: str = ""):
-        super().__init__(f"non-finite sample at line {line_no}: {text!r}")
+        super().__init__(f"{self.what} at line {line_no}: {text!r}")
         self.line_no = line_no
+        self.text = text
+
+    def __reduce__(self):
+        return type(self), (self.line_no, self.text)
+
+
+class NonFiniteSample(_LineError):
+    what = "non-finite sample"
 
 
 class EmptyStream(DataError):
     pass
 
 
-class RaggedRow(DataError):
-    def __init__(self, line_no: int, text: str = ""):
-        super().__init__(f"row without 3 fields at line {line_no}: {text!r}")
-        self.line_no = line_no
+class RaggedRow(_LineError):
+    what = "row without 3 fields"
 
 
 class NoChannels(DataError):

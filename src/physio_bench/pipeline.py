@@ -1,7 +1,8 @@
 """End-to-end orchestration shared by the CLI commands.
 
 Sessions are loaded, windowed and summarised one after another in
-manifest order, so every artifact is the same at any `--jobs` level."""
+manifest order; `--jobs` does not apply here. It parallelises only the
+fits of ablate (see `parallel.py`)."""
 
 from __future__ import annotations
 
