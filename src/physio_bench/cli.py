@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import types
@@ -47,8 +48,9 @@ EXIT_DATA = 3
 
 #: Fields that never change results, excluded from provenance so reruns
 #: stay byte-identical. `jobs` is the number of forked workers that run
-#: the (config, fold) fits of ablate; every other stage runs serially.
-#: Results are put back in fit order, so it never changes an artifact.
+#: the (config, fold) fits of ablate and the sessions of synth; every
+#: other stage runs serially. Results are put back in fit or subject
+#: order, so it never changes an artifact.
 _EXECUTION_FIELDS = {"out", "jobs"}
 
 
@@ -113,6 +115,11 @@ class RunConfig:
             raise ConfigError("alpha must be in (0,1)")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        if self.n_subjects < 1:
+            raise ConfigError("n_subjects must be >= 1")
+        if self.duration_s is not None and not (
+                math.isfinite(self.duration_s) and self.duration_s >= 1):
+            raise ConfigError("duration_s must be finite and >= 1")
         self.train_config()  # validates model fields
 
     def window_policy(self) -> WindowPolicy:
@@ -380,7 +387,7 @@ def cmd_synth(cfg: RunConfig) -> int:
 
     out = _out_dir(cfg)
     manifest_path = write_dataset(out, cfg.preset, cfg.n_subjects, cfg.seed,
-                                  cfg.duration_s)
+                                  cfg.duration_s, cfg.jobs)
     # Re-write with provenance embedded (loaders ignore the extra key).
     doc = json.loads(manifest_path.read_text())
     doc["provenance"] = cfg.provenance()

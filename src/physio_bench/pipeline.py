@@ -2,7 +2,7 @@
 
 Sessions are loaded, windowed and summarised one after another in
 manifest order; `--jobs` does not apply here. It parallelises only the
-fits of ablate (see `parallel.py`)."""
+fits of ablate and the sessions of synth (see `parallel.py`)."""
 
 from __future__ import annotations
 

@@ -145,35 +145,47 @@ def _integrate_hr(params: SynthParams, duration_s: float, seed: int,
     dt = params.dt
     two_pi_f = 2.0 * math.pi * freq
     n_steps = int(round(duration_s / dt))
-    samples = np.empty(int(duration_s))
-    x, v = params.hr_x0, params.hr_v0
-    next_sample = 0
-    n_out = len(samples)
-    # Python floats: numpy scalars would make every RK4 stage several times
-    # slower for the same IEEE results.
-    offs = offsets.tolist() or [0.0]
+    n_out = int(duration_s)
+    offs = offsets if len(offsets) else np.zeros(1)
     last = len(offs) - 1
-    sin = math.sin
     half_dt = 0.5 * dt
     sixth_dt = dt / 6.0
 
+    # The forcing gamma * drive(t) does not depend on the state, so it is
+    # tabulated for every step's stage times (stages 2 and 3 share t_mid).
+    # Elementwise numpy arithmetic rounds as the scalar expressions do;
+    # the sines stay on math.sin, since np.sin may differ from libm.
+    t = np.arange(n_steps + 1) * dt
+
+    def forcing(ts: np.ndarray) -> list[float]:
+        drive = np.array(list(map(math.sin, (two_pi_f * ts + phase).tolist())))
+        block = np.minimum((ts / block_s).astype(np.int64), last)
+        return (gamma * (amp * drive + offs[block])).tolist()
+
+    F1, F23, F4 = forcing(t), forcing(t + half_dt), forcing(t + dt)
+    # Sample k is the state at the first step with t + 1e-9 >= k, taken at
+    # most once per step: step s_k = max(s_{k-1} + 1, first_k), i.e.
+    # k + the running max of first_j - j.
+    k = np.arange(n_out)
+    first = np.searchsorted(t + 1e-9, k, side="left")
+    at = k + np.maximum.accumulate(first - k)
+    take = np.zeros(n_steps + 1, dtype=bool)
+    take[at[at <= n_steps]] = True
+    samples = []
+    x, v = params.hr_x0, params.hr_v0
+    B = _BLOWUP_NORM
+
+    # Python floats: numpy scalars would make every RK4 stage several times
+    # slower for the same IEEE results.
     try:
-        for step in range(n_steps + 1):
-            t = step * dt
-            if next_sample < n_out and t + 1e-9 >= next_sample:
-                samples[next_sample] = x
-                next_sample += 1
-            if abs(x) > _BLOWUP_NORM or abs(v) > _BLOWUP_NORM:
-                raise BlowUp(f"oscillator state exceeded {_BLOWUP_NORM} at t={t:.2f}")
-            # x'' = gamma * drive(t) - (a0 + a1 x^2) x' - (b0 x + b1 x^3), with
-            # the forcing evaluated once per stage time (stages 2 and 3 share it).
-            t_mid = t + half_dt
-            t_end = t + dt
-            f1 = gamma * (amp * sin(two_pi_f * t + phase) + offs[min(int(t / block_s), last)])
-            f23 = gamma * (amp * sin(two_pi_f * t_mid + phase)
-                           + offs[min(int(t_mid / block_s), last)])
-            f4 = gamma * (amp * sin(two_pi_f * t_end + phase)
-                          + offs[min(int(t_end / block_s), last)])
+        for step, f1, f23, f4, sample in zip(range(n_steps + 1), F1, F23, F4,
+                                              take.tolist()):
+            if sample:
+                samples.append(x)
+            # four comparisons in place of abs(): NaN still compares False
+            if x > B or x < -B or v > B or v < -B:
+                raise BlowUp(f"oscillator state exceeded {B} at t={step * dt:.2f}")
+            # x'' = gamma * drive(t) - (a0 + a1 x^2) x' - (b0 x + b1 x^3)
             k1x = v
             k1v = f1 - (a0 + a1 * x * x) * v - (b0 * x + b1 * x ** 3)
             xs = x + half_dt * k1x
@@ -189,10 +201,8 @@ def _integrate_hr(params: SynthParams, duration_s: float, seed: int,
             v += sixth_dt * (k1v + 2 * k2v + 2 * k3v + k4v)
     except OverflowError as exc:
         # a finite stage estimate whose cube exceeds the float range
-        raise BlowUp(f"oscillator state overflowed at t={t:.2f}") from exc
-    if next_sample < n_out:
-        samples[next_sample:] = x
-    return samples
+        raise BlowUp(f"oscillator state overflowed at t={step * dt:.2f}") from exc
+    return np.array(samples + [x] * (n_out - len(samples)), dtype=np.float64)
 
 
 def simulate_hr(params: SynthParams, duration_s: float, seed: int,
@@ -201,6 +211,8 @@ def simulate_hr(params: SynthParams, duration_s: float, seed: int,
     """Heart rate at 1 Hz: oscillator state mapped into a bpm band."""
     if duration_s < 1:
         raise BlowUp("duration must be >= 1 s")
+    if not block_s > 0:
+        raise BlowUp("block length must be > 0 s")
     offsets = np.asarray(offsets if offsets is not None else [0.0], dtype=np.float64)
     x = _integrate_hr(params, duration_s, seed, offsets, block_s)
     bpm = params.hr_base_bpm + params.hr_span_bpm * x
@@ -236,12 +248,15 @@ def simulate_eda_detailed(params: SynthParams, duration_s: float, seed: int,
     # latent OU input driving threshold crossings
     dt = 1.0 / RATE_EDA
     noise = rng.normal(scale=params.ou_sigma * math.sqrt(dt), size=n)
-    u = np.empty(n)
-    u_prev = params.ou_mean
-    for k in range(n):
-        target = params.ou_mean + shifts[k]
-        u_prev = u_prev + params.ou_rate * (target - u_prev) * dt + noise[k]
-        u[k] = u_prev
+    # Python floats, not numpy scalars: the same IEEE results, faster
+    ou_mean, ou_rate = params.ou_mean, params.ou_rate
+    u = []
+    u_prev = ou_mean
+    for shift, eps in zip(shifts.tolist(), noise.tolist()):
+        target = ou_mean + shift
+        u_prev = u_prev + ou_rate * (target - u_prev) * dt + eps
+        u.append(u_prev)
+    u = np.array(u, dtype=np.float64)
     above = u > params.eda_theta
     crossings = np.flatnonzero(above[1:] & ~above[:-1]) + 1
     burst_times = t[crossings]
@@ -270,15 +285,21 @@ def simulate_temp(params: SynthParams, duration_s: float, seed: int,
     n = int(round(duration_s * RATE_TEMP))
     t = np.arange(n) / RATE_TEMP
     dt = 1.0 / RATE_TEMP
-    temps = np.empty(n)
     T = params.temp_base
     offs = np.asarray(target_offsets if target_offsets is not None else [0.0],
                       dtype=np.float64)
-    for k in range(n):
-        b = min(int(t[k] / block_s), len(offs) - 1) if math.isfinite(block_s) else 0
-        target = params.temp_base + offs[b]
-        T = T + (target - T) * dt / params.temp_tau
-        temps[k] = T
+    # Python floats, not numpy scalars: the same IEEE results, faster
+    last = len(offs) - 1
+    offs = offs.tolist()
+    finite = math.isfinite(block_s)
+    base, tau = params.temp_base, params.temp_tau
+    temps = []
+    for tk in t.tolist():
+        b = min(int(tk / block_s), last) if finite else 0
+        target = base + offs[b]
+        T = T + (target - T) * dt / tau
+        temps.append(T)
+    temps = np.array(temps, dtype=np.float64)
     if params.temp_noise > 0:
         temps = temps + rng.normal(scale=params.temp_noise, size=n)
     return SampledSeries(start_epoch, RATE_TEMP, temps)
@@ -550,8 +571,11 @@ PRESETS = {
 
 
 def generate_recordings(preset: str, n_subjects: int, seed: int,
-                        duration_s: float | None = None) -> list[Recording]:
-    """In-memory cohort: one session per subject, seeds derived per subject."""
+                        duration_s: float | None = None,
+                        first: int = 0) -> list[Recording]:
+    """In-memory cohort: one session per subject, seeds derived per subject.
+    Subjects first .. first + n_subjects - 1 are made, so a slice of a
+    cohort equals the same sessions of the whole cohort."""
     if preset not in PRESETS:
         raise UnknownClass(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
     spec, coeffs = PRESETS[preset]()
@@ -561,32 +585,36 @@ def generate_recordings(preset: str, n_subjects: int, seed: int,
                            start_epoch=spec.start_epoch, params=spec.params)
     return [
         generate_session(spec, coeffs, seed * 1000 + i, subject_id=f"S{i:03d}")
-        for i in range(n_subjects)
+        for i in range(first, first + n_subjects)
     ]
 
 
 def write_dataset(out_dir: str | Path, preset: str, n_subjects: int, seed: int,
-                  duration_s: float | None = None) -> Path:
+                  duration_s: float | None = None, jobs: int = 1) -> Path:
     """Write a cohort in E4 directory format plus its manifest; returns the
-    manifest path."""
+    manifest path. Each session is generated and written on one of `jobs`
+    forked workers, which sends back only its manifest entry."""
     import json
 
     from .ingest import write_session
+    from .parallel import map_ordered
 
     out_dir = Path(out_dir)
-    recordings = generate_recordings(preset, n_subjects, seed, duration_s)
-    sessions = []
-    for rec in recordings:
+
+    def write_one(i: int) -> dict:
+        (rec,) = generate_recordings(preset, 1, seed, duration_s, first=i)
         rel = f"sessions/{rec.subject_id}"
         write_session(out_dir / rel, rec)
-        sessions.append({
+        return {
             "subject_id": rec.subject_id,
             "path": rel,
             "segments": [
                 {"label": s.label, "t_start": s.t_start, "t_end": s.t_end}
                 for s in rec.segments
             ],
-        })
+        }
+
+    sessions = map_ordered(write_one, range(n_subjects), jobs)
     manifest = {"dataset": f"synthetic-{preset}", "sessions": sessions}
     path = out_dir / "manifest.json"
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -379,6 +379,20 @@ class TestConfigHandling:
         assert flag[2:].replace("-", "_") in err["message"]
         assert not (tmp_path / "run/results.json").exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--n-subjects", "-2"), ("--n-subjects", "0"), ("--duration-s", "nan"),
+        ("--duration-s", "inf"), ("--duration-s", "-5"), ("--duration-s", "0.5")])
+    def test_bad_synth_cohort_is_config_error(self, tmp_path, monkeypatch, capfd,
+                                              flag, value):
+        code = _run(tmp_path, monkeypatch, [
+            "synth", "--n-subjects", "2", "--duration-s", "130", flag, value,
+            "--jobs", "2", "--out", "data"])
+        assert code == 2
+        err = _error(capfd)
+        assert err["type"] == "ConfigError"
+        assert flag[2:].replace("-", "_") in err["message"]
+        assert not (tmp_path / "data").exists()
+
     @pytest.mark.parametrize("command, model, trees", [
         ("evaluate", "bagging", "0"), ("train", "bagging", "-3"),
         ("train", "boosting", "-3")])

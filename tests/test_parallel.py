@@ -1,4 +1,5 @@
-"""`parallel.map_ordered` and the `ablate --jobs` path built on it.
+"""`parallel.map_ordered` and the `ablate --jobs` and `synth --jobs` paths
+built on it.
 
 Pool sizing is checked through a stand-in executor that runs the workers'
 code in this process, so those tests start no process. The others start
@@ -165,13 +166,48 @@ class TestAblateJobs:
 
     def test_one_job_never_imports_multiprocessing(self, tmp_path):
         _feature_csv(tmp_path / "t.csv", "stress_16", n_subjects=5)
-        script = ("import sys\nfrom physio_bench.cli import main\n"
-                  "assert main(['ablate', '--features', 't.csv', '--trees', '3',"
-                  " '--out', 'run']) == 0\n"
-                  "print('multiprocessing' in sys.modules)\n")
-        src = str(Path(physio_bench.__file__).resolve().parents[1])
-        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
-                              env={"PYTHONPATH": src, "PHYSIO_BENCH_LOG": "error"},
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert not _imports_multiprocessing(
+            tmp_path, ["ablate", "--features", "t.csv", "--trees", "3", "--out", "run"])
+
+
+def _imports_multiprocessing(tmp_path, argv) -> bool:
+    """Whether a fresh interpreter that runs the CLI command argv (which
+    must succeed) ends up with `multiprocessing` imported."""
+    script = ("import sys\nfrom physio_bench.cli import main\n"
+              f"assert main({argv!r}) == 0\n"
+              "print('multiprocessing' in sys.modules)\n")
+    src = str(Path(physio_bench.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env={"PYTHONPATH": src, "PHYSIO_BENCH_LOG": "error"},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip() == "True"
+
+
+class TestSynthJobs:
+    SYNTH = ["synth", "--preset", "stress3", "--n-subjects", "3", "--duration-s",
+             "130", "--seed", "4"]
+
+    def test_one_job_builds_no_pool(self, pool_sizes, tmp_path, monkeypatch):
+        assert _run(tmp_path, monkeypatch, self.SYNTH + ["--out", "one"]) == 0
+        assert pool_sizes == []
+        assert not _imports_multiprocessing(tmp_path, self.SYNTH + ["--out", "fresh"])
+
+    @pytest.mark.parametrize("jobs, size", [(2, 2), (10000, 3)])
+    def test_one_worker_per_session_at_most(self, pool_sizes, tmp_path, monkeypatch,
+                                            jobs, size):
+        assert _run(tmp_path, monkeypatch,
+                    self.SYNTH + ["--jobs", str(jobs), "--out", "run"]) == 0
+        assert pool_sizes == [size]
+
+    def test_two_jobs_write_the_same_bytes_and_leave_no_worker(self, tmp_path,
+                                                               monkeypatch):
+        for jobs in ("1", "2"):
+            assert _run(tmp_path, monkeypatch,
+                        self.SYNTH + ["--jobs", jobs, "--out", "j" + jobs]) == 0
+            assert multiprocessing.active_children() == []
+        one, two = (
+            {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+            for root in (tmp_path / "j1", tmp_path / "j2"))
+        assert len(one) == 1 + 3 * 6  # the manifest and six files per session
+        assert one == two

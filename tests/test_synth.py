@@ -1,6 +1,7 @@
 """Synthetic generators: determinism, exactness, convergence, class structure."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -64,6 +65,97 @@ class TestSimulateHr:
         assert np.array_equal(empty, flat)
         assert np.array_equal(shifted[:60], flat[:60])
         assert np.mean(shifted[90:]) > np.mean(flat[90:]) + 1.0
+
+
+def _integrate_hr_per_step(params, duration_s, seed, offsets, block_s):
+    """Reference integrator: the per-step loop that evaluates the forcing
+    and the sampling rule inside every RK4 step."""
+    rng = np.random.default_rng([seed, 1])
+    phase = float(rng.uniform(0.0, 2.0 * math.pi))
+    a0, a1, b0, b1 = params.hr_a0, params.hr_a1, params.hr_b0, params.hr_b1
+    gamma, amp, freq = params.hr_gamma, params.hr_drive_amp, params.hr_drive_freq
+    dt = params.dt
+    two_pi_f = 2.0 * math.pi * freq
+    n_steps = int(round(duration_s / dt))
+    samples = np.empty(int(duration_s))
+    x, v = params.hr_x0, params.hr_v0
+    next_sample = 0
+    n_out = len(samples)
+    offs = offsets.tolist() or [0.0]
+    last = len(offs) - 1
+    sin = math.sin
+    half_dt = 0.5 * dt
+    sixth_dt = dt / 6.0
+
+    try:
+        for step in range(n_steps + 1):
+            t = step * dt
+            if next_sample < n_out and t + 1e-9 >= next_sample:
+                samples[next_sample] = x
+                next_sample += 1
+            if abs(x) > synth._BLOWUP_NORM or abs(v) > synth._BLOWUP_NORM:
+                raise BlowUp(f"oscillator state exceeded {synth._BLOWUP_NORM} at t={t:.2f}")
+            t_mid = t + half_dt
+            t_end = t + dt
+            f1 = gamma * (amp * sin(two_pi_f * t + phase) + offs[min(int(t / block_s), last)])
+            f23 = gamma * (amp * sin(two_pi_f * t_mid + phase)
+                           + offs[min(int(t_mid / block_s), last)])
+            f4 = gamma * (amp * sin(two_pi_f * t_end + phase)
+                          + offs[min(int(t_end / block_s), last)])
+            k1x = v
+            k1v = f1 - (a0 + a1 * x * x) * v - (b0 * x + b1 * x ** 3)
+            xs = x + half_dt * k1x
+            k2x = v + half_dt * k1v
+            k2v = f23 - (a0 + a1 * xs * xs) * k2x - (b0 * xs + b1 * xs ** 3)
+            xs = x + half_dt * k2x
+            k3x = v + half_dt * k2v
+            k3v = f23 - (a0 + a1 * xs * xs) * k3x - (b0 * xs + b1 * xs ** 3)
+            xs = x + dt * k3x
+            k4x = v + dt * k3v
+            k4v = f4 - (a0 + a1 * xs * xs) * k4x - (b0 * xs + b1 * xs ** 3)
+            x += sixth_dt * (k1x + 2 * k2x + 2 * k3x + k4x)
+            v += sixth_dt * (k1v + 2 * k2v + 2 * k3v + k4v)
+    except OverflowError as exc:
+        raise BlowUp(f"oscillator state overflowed at t={t:.2f}") from exc
+    if next_sample < n_out:
+        samples[next_sample:] = x
+    return samples
+
+
+class TestIntegratorOracle:
+    """The tabulated-forcing integrator against the per-step reference, bit
+    for bit, through `simulate_hr`."""
+
+    OFFSETS = np.array([0.0, 0.6, -0.4, 0.25])
+
+    @pytest.mark.parametrize("block_s", [60.0, 7.3, math.inf])
+    @pytest.mark.parametrize("dt", [0.02, 0.05, 0.3, 1.5])
+    def test_bit_equal_to_per_step_loop(self, monkeypatch, dt, block_s):
+        p = _params(dt=dt)
+        actual = synth.simulate_hr(p, 130.7, 8, self.OFFSETS, block_s).values
+        monkeypatch.setattr(synth, "_integrate_hr", _integrate_hr_per_step)
+        expected = synth.simulate_hr(p, 130.7, 8, self.OFFSETS, block_s).values
+        assert len(actual) == 130
+        assert actual.dtype == expected.dtype
+        assert actual.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kw", [
+        dict(hr_a0=-3.0, hr_b0=-2.0, hr_b1=0.0, hr_noise=0.0, hr_x0=0.5),
+        dict(hr_b1=1e300, hr_x0=1.0, hr_noise=0.0),
+    ])
+    def test_blowup_message_matches_per_step_loop(self, kw):
+        p = _params(**kw)
+        offsets = np.array([0.0])
+        with pytest.raises(BlowUp) as expected:
+            _integrate_hr_per_step(p, 400.0, 5, offsets, math.inf)
+        with pytest.raises(BlowUp) as actual:
+            synth.simulate_hr(p, 400.0, seed=5)
+        assert str(actual.value) == str(expected.value)
+
+    @pytest.mark.parametrize("block_s", [0.0, -60.0, math.nan])
+    def test_non_positive_block_length_raises(self, block_s):
+        with pytest.raises(BlowUp, match="block length"):
+            synth.simulate_hr(_params(), 130.0, 8, self.OFFSETS, block_s)
 
 
 class TestSimulateEda:
