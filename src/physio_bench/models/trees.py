@@ -6,7 +6,10 @@ sqrt(d) per-tree feature subset and averages leaf class distributions.
 Boosting runs multiclass gradient boosting on the softmax log-loss: each
 round fits one regression tree per class to the residual (one-hot minus
 probability) and assigns leaves their Newton step, sum(residual) /
-(sum(p(1-p)) + lambda). Growth is level-wise under a depth limit or
+(sum(p(1-p)) + lambda). With two classes the two trees of a round mirror
+each other, so a round grows one logistic tree on class 0's residual and
+stores its mirror, negated leaves on the same structure, for class 1
+(Friedman, Ann. Stat. 2001). Growth is level-wise under a depth limit or
 leaf-wise under a leaf-count limit, with exact or 64-bin histogram split
 search.
 
@@ -76,17 +79,20 @@ class Tree:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Leaf payload per row, shape (n, n_out)."""
-        out = np.empty((X.shape[0], self.n_out))
-        self._route(X, np.arange(X.shape[0]), 0, out)
-        return out
+        return self.value[self._route(X)]
 
-    def _route(self, X, rows, node, out):
-        if self.feature[node] == LEAF:
-            out[rows] = self.value[node]
-            return
-        go_left = X[rows, self.feature[node]] <= self.threshold[node]
-        self._route(X, rows[go_left], self.left[node], out)
-        self._route(X, rows[~go_left], self.right[node], out)
+    def _route(self, X: np.ndarray) -> np.ndarray:
+        """Leaf index per row. Each pass moves every row not yet at a leaf
+        one level down with one comparison; NaN fails `<=` and goes right."""
+        node = np.zeros(X.shape[0], dtype=np.intp)
+        rows = np.arange(X.shape[0])
+        while len(rows):
+            at = node[rows]
+            inner = self.feature[at] != LEAF
+            rows, at = rows[inner], at[inner]
+            go_left = X[rows, self.feature[at]] <= self.threshold[at]
+            node[rows] = np.where(go_left, self.left[at], self.right[at])
+        return node
 
     def expected_value(self) -> np.ndarray:
         """Cover-weighted mean leaf payload (the path-dependent base value).
@@ -493,6 +499,13 @@ class TreeEnsembleModel:
         )
 
 
+def _mirror(tree: Tree) -> Tree:
+    """The tree with negated leaves. 0.0 - v negates every leaf exactly and
+    keeps the internal nodes' zeros +0.0, which -v would make -0.0."""
+    return Tree(tree.feature, tree.threshold, tree.left, tree.right,
+                0.0 - tree.value, tree.cover)
+
+
 def train_tree_ensemble(data: DataMatrix, cfg: TrainConfig) -> TreeEnsembleModel:
     if cfg.kind not in ("bagging", "boosting"):
         raise SchemaMismatch("train_tree_ensemble needs kind 'bagging' or 'boosting'")
@@ -521,15 +534,34 @@ def train_tree_ensemble(data: DataMatrix, cfg: TrainConfig) -> TreeEnsembleModel
     # boosting
     priors = np.bincount(y, minlength=K) / n
     base = np.log(np.clip(priors, 1e-15, None))
-    scores = np.tile(base, (n, 1))
     Y = np.zeros((n, K))
     Y[np.arange(n), y] = 1.0
-    splitter = _splitter(X, cfg)   # one presort or binning serves every tree
+    trees, tree_class = _boost(X, Y, np.tile(base, (n, 1)), cfg)
+    return TreeEnsembleModel("boosting", classes, trees, tree_class,
+                             cfg.learning_rate, base, stats,
+                             list(data.feature_names))
 
+
+def _boost(X, Y, scores, cfg: TrainConfig) -> tuple[list[Tree], list[int]]:
+    """The boosting rounds from one-hot targets Y and starting scores
+    (updated in place); returns the trees and the class each one scores."""
+    splitter = _splitter(X, cfg)   # one presort or binning serves every tree
+    K = Y.shape[1]
     trees: list[Tree] = []
     tree_class: list[int] = []
     for _ in range(cfg.resolved_trees):
         P = softmax(scores)
+        if K == 2:
+            # One logistic tree per round (Friedman 2001): class 1's tree
+            # would mirror class 0's, so it is stored as that exact mirror.
+            g = Y[:, 0] - P[:, 0]
+            h = P[:, 0] * (1.0 - P[:, 0])
+            tree, fitted = grow_regression_tree(X, g, h, cfg, splitter)
+            scores[:, 0] += cfg.learning_rate * fitted
+            scores[:, 1] -= cfg.learning_rate * fitted
+            trees += [tree, _mirror(tree)]
+            tree_class += [0, 1]
+            continue
         for k in range(K):
             g = Y[:, k] - P[:, k]          # residual = negative gradient
             h = P[:, k] * (1.0 - P[:, k])
@@ -537,7 +569,4 @@ def train_tree_ensemble(data: DataMatrix, cfg: TrainConfig) -> TreeEnsembleModel
             scores[:, k] += cfg.learning_rate * fitted
             trees.append(tree)
             tree_class.append(k)
-
-    return TreeEnsembleModel("boosting", classes, trees, tree_class,
-                             cfg.learning_rate, base, stats,
-                             list(data.feature_names))
+    return trees, tree_class

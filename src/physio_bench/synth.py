@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArityMismatch, BlowUp, UnknownClass
+from .errors import ArityMismatch, BlowUp, ConfigError, UnknownClass
 from .ingest import EventSeries, LabelSegment, Recording, SampledSeries
 
 RATE_EDA = 4.0
@@ -442,6 +442,8 @@ class SessionSpec:
             for c in self.classes:
                 if c not in DIRECT_CLASS_TABLE:
                     raise UnknownClass(f"no class effects defined for {c!r}")
+        if not self.block_s > 0:   # also rejects NaN
+            raise ConfigError(f"block_s must be > 0, got {self.block_s!r}")
 
     def to_dict(self) -> dict:
         d = asdict(self)

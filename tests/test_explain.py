@@ -134,6 +134,16 @@ class TestTreeShapOracle:
                 worst = max(worst, np.abs(att.margin() - margins[i]).max())
         assert worst <= 1e-8
 
+    def test_binary_boosting_class_attributions_are_exact_negatives(self):
+        rng = np.random.default_rng(4)
+        data = _random_data(rng, n=80, d=5)
+        model = train_tree_ensemble(
+            data, TrainConfig(kind="boosting", n_trees=30, max_depth=3))
+        for x in rng.normal(size=(20, 5)):
+            phi = tree_shap(model, x).phi
+            assert np.abs(phi).max() > 0
+            assert np.array_equal(phi[0], -phi[1])
+
     def test_dummy_feature_gets_exact_zero(self):
         rng = np.random.default_rng(3)
         data = _random_data(rng, n=60, d=4)

@@ -23,7 +23,7 @@ from physio_bench.models import (
 from physio_bench.models.base import ColumnStats, softmax
 from physio_bench.models.logistic import _loss_grad
 from physio_bench.models import trees
-from physio_bench.models.trees import MIN_GAIN, grow_gini_tree
+from physio_bench.models.trees import LEAF, MIN_GAIN, grow_gini_tree
 
 
 def _blobs(n=60, gap=6.0, seed=0, d=3):
@@ -325,6 +325,93 @@ class TestSplitSearchEquivalence:
                 == json.dumps(reference.to_dict()))
 
 
+def _boost_per_class(X, Y, scores, cfg):
+    """The boosting loop before binary rounds grew one tree: one tree per
+    class per round for every K, each fit to its own class's residual."""
+    splitter = trees._splitter(X, cfg)
+    K = Y.shape[1]
+    grown, tree_class = [], []
+    for _ in range(cfg.resolved_trees):
+        P = softmax(scores)
+        for k in range(K):
+            g = Y[:, k] - P[:, k]
+            h = P[:, k] * (1.0 - P[:, k])
+            tree, fitted = trees.grow_regression_tree(X, g, h, cfg, splitter)
+            scores[:, k] += cfg.learning_rate * fitted
+            grown.append(tree)
+            tree_class.append(k)
+    return grown, tree_class
+
+
+def _json_floats(text):
+    """Every float token of a JSON document, as written."""
+    tokens = []
+    json.loads(text, parse_float=lambda t: tokens.append(t) or float(t))
+    return tokens
+
+
+class TestBinaryMirrorOracle:
+    """Binary boosting grows one tree per round and stores its mirror; the
+    per-class loop it replaced is the oracle, swapped in with monkeypatch."""
+
+    GRID = [(growth, splits) for growth in ("depth", "leaf")
+            for splits in ("exact", "hist")]
+
+    def _fit_both(self, monkeypatch, K, growth, splits, seed):
+        data = _tied_matrix(K, seed)
+        cfg = TrainConfig(kind="boosting", n_trees=25, learning_rate=0.5,
+                          growth=growth, splits=splits, max_leaves=6, n_bins=16)
+        model = train_tree_ensemble(data, cfg)
+        monkeypatch.setattr(trees, "_boost", _boost_per_class)
+        oracle = train_tree_ensemble(data, cfg)
+        return data, model, oracle
+
+    @pytest.mark.parametrize("growth,splits", GRID)
+    def test_binary_matches_per_class_loop(self, monkeypatch, growth, splits):
+        data, model, oracle = self._fit_both(monkeypatch, 2, growth, splits, seed=3)
+        assert model.tree_class == oracle.tree_class == [0, 1] * 25
+        assert np.abs(model.predict_proba(data.X)
+                      - oracle.predict_proba(data.X)).max() <= 1e-12
+        for grown, mirror in zip(model.trees[0::2], model.trees[1::2]):
+            for name in ("feature", "threshold", "left", "right", "cover"):
+                assert np.array_equal(getattr(grown, name), getattr(mirror, name))
+            leaf = grown.feature == LEAF
+            assert np.array_equal(mirror.value[leaf], -grown.value[leaf])
+            inner = mirror.value[~leaf]
+            assert np.all(inner == 0.0) and not np.signbit(inner).any()
+        assert "-0.0" not in _json_floats(model_to_json(model))
+
+    @pytest.mark.parametrize("growth,splits", GRID)
+    def test_three_classes_byte_equal_to_per_class_loop(self, monkeypatch,
+                                                        growth, splits):
+        _, model, oracle = self._fit_both(monkeypatch, 3, growth, splits, seed=4)
+        assert len(set(model.tree_class)) == 3
+        assert model_to_json(model) == model_to_json(oracle)
+
+    def test_two_tree_binary_model_loads_and_predicts(self, monkeypatch):
+        data, _, oracle = self._fit_both(monkeypatch, 2, "depth", "exact", seed=5)
+        pairs = zip(oracle.trees[0::2], oracle.trees[1::2])
+        assert any(not np.array_equal(b.value, 0.0 - a.value) for a, b in pairs)
+        clone = model_from_json(model_to_json(oracle))
+        assert np.array_equal(clone.predict_proba(data.X),
+                              oracle.predict_proba(data.X))
+
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_regression_trees_grown_per_round(self, monkeypatch, K):
+        grown = []
+        grow = trees.grow_regression_tree
+
+        def counted(*args, **kwargs):
+            grown.append(1)
+            return grow(*args, **kwargs)
+
+        monkeypatch.setattr(trees, "grow_regression_tree", counted)
+        model = train_tree_ensemble(_tied_matrix(K, 6),
+                                    TrainConfig(kind="boosting", n_trees=7))
+        assert len(grown) == (7 if K == 2 else 3 * 7)
+        assert len(model.trees) == 7 * K
+
+
 def _reference_gini_tree(X, y, n_classes, features, max_depth, min_leaf):
     """The per-feature Gini search the presorted scan replaced: one argsort
     and one (n, K) one-hot per feature per node, the running best updated
@@ -430,6 +517,24 @@ class TestBagging:
         p1 = train_tree_ensemble(data, cfg).predict_proba(data.X)
         p2 = train_tree_ensemble(data, cfg).predict_proba(data.X)
         assert np.array_equal(p1, p2)
+
+    def test_predict_routes_like_the_recursive_walk(self):
+        def walk(tree, X, rows, node, out):
+            if tree.feature[node] == LEAF:
+                out[rows] = tree.value[node]
+                return
+            go_left = X[rows, tree.feature[node]] <= tree.threshold[node]
+            walk(tree, X, rows[go_left], tree.left[node], out)
+            walk(tree, X, rows[~go_left], tree.right[node], out)
+
+        data = _tied_matrix(3, seed=8)
+        model = train_tree_ensemble(data, TrainConfig(kind="bagging", n_trees=10))
+        X = data.X.copy()   # raw, so NaN reaches the comparisons
+        X[::7, 0] = model.trees[0].threshold[0]
+        for tree in model.trees:
+            out = np.empty((len(X), tree.n_out))
+            walk(tree, X, np.arange(len(X)), 0, out)
+            assert tree.predict(X).tobytes() == out.tobytes()
 
     def test_one_leaf_forcing_approximates_prior(self):
         data = _blobs(n=90)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from physio_bench import synth
-from physio_bench.errors import ArityMismatch, BlowUp, UnknownClass
+from physio_bench.errors import ArityMismatch, BlowUp, ConfigError, UnknownClass
 from physio_bench.features import detect_bvp_peaks, scr_peak_count
 
 
@@ -353,6 +353,11 @@ class TestGenerateSession:
             for ch in orig.channels:
                 assert np.array_equal(orig.channels[ch].values,
                                       rt.channels[ch].values)
+
+    @pytest.mark.parametrize("block_s", [0.0, -60.0, math.nan])
+    def test_non_positive_block_length_rejected(self, block_s):
+        with pytest.raises(ConfigError, match="block_s"):
+            synth.SessionSpec(block_s=block_s)
 
     def test_shipped_presets_never_blow_up(self):
         for preset in synth.PRESETS:
