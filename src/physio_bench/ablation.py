@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptyMask, TooFewModalities
+from .errors import ConfigError, EmptyMask, KExceedsSubjects, TooFewModalities
 from .evaluation import SplitPlan, accuracy_score, evaluate_fold, macro_f1_score
 from .models.base import DataMatrix, TrainConfig
 from .parallel import map_ordered
@@ -103,7 +103,9 @@ def balanced_grouped_folds(matrix: DataMatrix, k: int, seed: int) -> SplitPlan:
     """
     subjects = sorted(set(matrix.groups))
     if k > len(subjects):
-        raise ConfigError(f"k={k} exceeds {len(subjects)} subjects")
+        raise KExceedsSubjects(f"k={k} exceeds {len(subjects)} subjects")
+    if k < 2:
+        raise KExceedsSubjects("k must be >= 2")
     classes = sorted(set(str(v) for v in matrix.labels))
     counts = {}
     for s in subjects:

@@ -113,6 +113,8 @@ class RunConfig:
             raise ConfigError("correction must be fdr or bonferroni")
         if not (0 < self.alpha < 1):
             raise ConfigError("alpha must be in (0,1)")
+        if not (0 < self.test_fraction < 1):
+            raise ConfigError("test_fraction must be in (0,1)")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
         if self.n_subjects < 1:

@@ -1,4 +1,5 @@
-"""Shared model infrastructure: data matrices, column statistics, configs.
+"""Shared model infrastructure: data matrices, column statistics, configs,
+the model.json codec and the base of the five model kinds.
 
 Every trainer fits its imputation and standardization statistics on the
 training rows only and freezes them into the model, so prediction never
@@ -7,7 +8,9 @@ sees test-set column statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+import functools
+import typing
+from dataclasses import dataclass, asdict, field, fields
 
 import numpy as np
 
@@ -81,8 +84,56 @@ def require_multiclass(classes: list[str]) -> None:
         raise SingleClass(f"need >= 2 classes, got {classes}")
 
 
+def index_field():
+    """A dataclass field holding an index array, loaded back as np.intp."""
+    return field(metadata={"dtype": np.intp})
+
+
+def _is_codec(t) -> bool:
+    return isinstance(t, type) and issubclass(t, Codec)
+
+
+@functools.cache
+def _layout(cls) -> tuple:
+    """(name, encode, decode) of each init field of a Codec dataclass,
+    resolved from its type hints once per class."""
+    hints = typing.get_type_hints(cls)
+    layout = []
+    for f in fields(cls):
+        if not f.init:
+            continue
+        t = hints[f.name]
+        item = typing.get_args(t)[0] if typing.get_origin(t) is list else None
+        if t is np.ndarray:
+            dtype = f.metadata.get("dtype", np.float64)
+            codec = np.ndarray.tolist, functools.partial(np.array, dtype=dtype)
+        elif _is_codec(t):
+            codec = t.to_dict, t.from_dict
+        elif _is_codec(item):
+            codec = (lambda v: [x.to_dict() for x in v],
+                     lambda v, item=item: [item.from_dict(x) for x in v])
+        else:
+            codec = (lambda v: v), typing.get_origin(t) or t
+        layout.append((f.name, *codec))
+    return tuple(layout)
+
+
+class Codec:
+    """The model.json codec of a dataclass: one key per init field. Arrays
+    are nested lists, loaded back as float64 unless the field's metadata
+    names a dtype; nested Codec dataclasses use their own codec."""
+
+    def to_dict(self) -> dict:
+        return {name: encode(getattr(self, name))
+                for name, encode, _ in _layout(type(self))}
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        return cls(**{name: decode(d[name]) for name, _, decode in _layout(cls)})
+
+
 @dataclass(frozen=True)
-class ColumnStats:
+class ColumnStats(Codec):
     """Imputation means and standardization moments fit on training rows."""
 
     impute: np.ndarray
@@ -112,16 +163,31 @@ class ColumnStats:
     def transform(self, X: np.ndarray) -> np.ndarray:
         return (self.impute_only(X) - self.mean) / self.std
 
-    def to_dict(self) -> dict:
-        return {
-            "impute": self.impute.tolist(),
-            "mean": self.mean.tolist(),
-            "std": self.std.tolist(),
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ColumnStats":
-        return cls(np.array(d["impute"]), np.array(d["mean"]), np.array(d["std"]))
+class Model(Codec):
+    """Base of the five model kinds. Each subclass is a dataclass with
+    `classes` and `feature_names` fields and a `kind` class attribute, and
+    defines `predict_proba`, or `predict_scores` when it has no
+    probabilities (the SVM). There is no base `predict_proba`:
+    `models.predict_proba` tells the score-only SVM apart by its absence."""
+
+    def to_dict(self) -> dict:
+        return {**super().to_dict(), "kind": self.kind}
+
+    def _rows(self, X: np.ndarray) -> np.ndarray:
+        """X as float64 rows, with exactly one column per feature."""
+        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        if X.shape[1] != len(self.feature_names):
+            raise SchemaMismatch(
+                f"expected {len(self.feature_names)} features, got {X.shape[1]}"
+            )
+        return X
+
+    def predict_scores(self, X: np.ndarray) -> np.ndarray:
+        return self.predict_proba(X)
+
+    def predict_class(self, X: np.ndarray) -> np.ndarray:
+        return argmax_class(self.predict_scores(X), self.classes)
 
 
 @dataclass

@@ -11,35 +11,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import KTooLarge, SchemaMismatch
+from ..errors import KTooLarge
 from .base import (
     ColumnStats,
     DataMatrix,
+    Model,
     TrainConfig,
     class_order,
     encode_labels,
+    index_field,
     require_multiclass,
 )
 
 
 @dataclass
-class KnnModel:
+class KnnModel(Model):
     classes: list[str]
     k: int
     points: np.ndarray            # standardized training rows
-    point_classes: np.ndarray     # class indices
+    point_classes: np.ndarray = index_field()   # class indices
     stats: ColumnStats
     feature_names: list[str]
 
     kind = "knn"
 
     def _neighbors(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if X.shape[1] != self.points.shape[1]:
-            raise SchemaMismatch(
-                f"expected {self.points.shape[1]} features, got {X.shape[1]}"
-            )
-        Z = self.stats.transform(X)
+        Z = self.stats.transform(self._rows(X))
         d2 = ((Z[:, None, :] - self.points[None, :, :]) ** 2).sum(axis=2)
         order = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
         dist = np.sqrt(np.take_along_axis(d2, order, axis=1))
@@ -55,6 +52,8 @@ class KnnModel:
         order, _ = self._neighbors(X)
         return self._votes(order) / self.k
 
+    # Defined here although Model has the same: perfbench/tracing.py wraps
+    # the k-NN predict methods through the class's own __dict__.
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
         return self.predict_proba(X)
 
@@ -79,28 +78,6 @@ class KnnModel:
         if with_scores:
             return labels, votes / self.k
         return labels
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "classes": self.classes,
-            "k": self.k,
-            "points": self.points.tolist(),
-            "point_classes": self.point_classes.tolist(),
-            "stats": self.stats.to_dict(),
-            "feature_names": self.feature_names,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "KnnModel":
-        return cls(
-            classes=list(d["classes"]),
-            k=int(d["k"]),
-            points=np.array(d["points"]),
-            point_classes=np.array(d["point_classes"], dtype=np.intp),
-            stats=ColumnStats.from_dict(d["stats"]),
-            feature_names=list(d["feature_names"]),
-        )
 
 
 def train_knn(data: DataMatrix, cfg: TrainConfig) -> KnnModel:

@@ -12,12 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import NonFiniteLoss, SchemaMismatch
+from ..errors import NonFiniteLoss
 from .base import (
     ColumnStats,
     DataMatrix,
+    Model,
     TrainConfig,
-    argmax_class,
     class_order,
     encode_labels,
     require_multiclass,
@@ -29,7 +29,7 @@ MAX_ITER = 5000
 
 
 @dataclass
-class LogisticModel:
+class LogisticModel(Model):
     classes: list[str]
     weights: np.ndarray          # (K, d), on the standardized scale
     bias: np.ndarray             # (K,)
@@ -38,46 +38,12 @@ class LogisticModel:
 
     kind = "logistic"
 
-    def _check(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if X.shape[1] != self.weights.shape[1]:
-            raise SchemaMismatch(
-                f"expected {self.weights.shape[1]} features, got {X.shape[1]}"
-            )
-        return X
-
     def margins(self, X: np.ndarray) -> np.ndarray:
-        Z = self.stats.transform(self._check(X))
+        Z = self.stats.transform(self._rows(X))
         return Z @ self.weights.T + self.bias
-
-    def predict_scores(self, X: np.ndarray) -> np.ndarray:
-        return self.predict_proba(X)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return softmax(self.margins(X))
-
-    def predict_class(self, X: np.ndarray) -> np.ndarray:
-        return argmax_class(self.predict_proba(X), self.classes)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "classes": self.classes,
-            "weights": self.weights.tolist(),
-            "bias": self.bias.tolist(),
-            "stats": self.stats.to_dict(),
-            "feature_names": self.feature_names,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LogisticModel":
-        return cls(
-            classes=list(d["classes"]),
-            weights=np.array(d["weights"]),
-            bias=np.array(d["bias"]),
-            stats=ColumnStats.from_dict(d["stats"]),
-            feature_names=list(d["feature_names"]),
-        )
 
 
 def _loss_grad(Z: np.ndarray, Y: np.ndarray, W: np.ndarray, b: np.ndarray,

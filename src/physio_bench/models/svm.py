@@ -17,13 +17,13 @@ from ..errors import (
     DimensionMismatch,
     NoConvergence,
     NonPositiveSigma,
-    SchemaMismatch,
 )
 from .base import (
+    Codec,
     ColumnStats,
     DataMatrix,
+    Model,
     TrainConfig,
-    argmax_class,
     class_order,
     encode_labels,
     require_multiclass,
@@ -65,7 +65,7 @@ def median_pairwise_distance(Z: np.ndarray) -> float:
 
 
 @dataclass
-class _BinarySvm:
+class _BinarySvm(Codec):
     support: np.ndarray        # (m, d) support vectors, standardized scale
     coef: np.ndarray           # (m,) alpha_i * y_i
     bias: float
@@ -132,7 +132,7 @@ def _smo(K: np.ndarray, y: np.ndarray, C: float, seed: int) -> tuple[np.ndarray,
 
 
 @dataclass
-class SvmModel:
+class SvmModel(Model):
     classes: list[str]
     machines: list[_BinarySvm]   # one per class (one-vs-rest); 1 when binary
     C: float
@@ -142,58 +142,13 @@ class SvmModel:
 
     kind = "svm"
 
-    def _check(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if X.shape[1] != len(self.feature_names):
-            raise SchemaMismatch(
-                f"expected {len(self.feature_names)} features, got {X.shape[1]}"
-            )
-        return self.stats.transform(X)
-
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
         """Per-class decision margins (no probability calibration)."""
-        Z = self._check(X)
+        Z = self.stats.transform(self._rows(X))
         if len(self.machines) == 1:
             s = self.machines[0].decision(Z)
             return np.column_stack([-s, s])
         return np.column_stack([m.decision(Z) for m in self.machines])
-
-    def predict_class(self, X: np.ndarray) -> np.ndarray:
-        return argmax_class(self.predict_scores(X), self.classes)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "classes": self.classes,
-            "machines": [
-                {
-                    "support": m.support.tolist(),
-                    "coef": m.coef.tolist(),
-                    "bias": m.bias,
-                    "sigma": m.sigma,
-                }
-                for m in self.machines
-            ],
-            "C": self.C,
-            "sigma": self.sigma,
-            "stats": self.stats.to_dict(),
-            "feature_names": self.feature_names,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SvmModel":
-        return cls(
-            classes=list(d["classes"]),
-            machines=[
-                _BinarySvm(np.array(m["support"]), np.array(m["coef"]),
-                           float(m["bias"]), float(m["sigma"]))
-                for m in d["machines"]
-            ],
-            C=float(d["C"]),
-            sigma=float(d["sigma"]),
-            stats=ColumnStats.from_dict(d["stats"]),
-            feature_names=list(d["feature_names"]),
-        )
 
 
 def train_svm_rbf(data: DataMatrix, cfg: TrainConfig) -> SvmModel:

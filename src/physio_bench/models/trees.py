@@ -39,12 +39,14 @@ import numpy as np
 
 from ..errors import SchemaMismatch
 from .base import (
+    Codec,
     ColumnStats,
     DataMatrix,
+    Model,
     TrainConfig,
-    argmax_class,
     class_order,
     encode_labels,
+    index_field,
     require_multiclass,
     softmax,
 )
@@ -59,15 +61,15 @@ MIN_GAIN = -1e-12
 
 
 @dataclass
-class Tree:
+class Tree(Codec):
     """Flat-array binary tree; node 0 is the root, LEAF marks leaves."""
 
-    feature: np.ndarray      # (n_nodes,) split feature, LEAF at leaves
-    threshold: np.ndarray    # (n_nodes,) split threshold (x <= t goes left)
-    left: np.ndarray         # (n_nodes,)
-    right: np.ndarray        # (n_nodes,)
-    value: np.ndarray        # (n_nodes, n_out) leaf payload (zeros inside)
-    cover: np.ndarray        # (n_nodes,) training rows through the node
+    feature: np.ndarray = index_field()  # (n_nodes,) split feature, LEAF at leaves
+    threshold: np.ndarray                # (n_nodes,) split threshold (x <= t goes left)
+    left: np.ndarray = index_field()     # (n_nodes,)
+    right: np.ndarray = index_field()    # (n_nodes,)
+    value: np.ndarray                    # (n_nodes, n_out) leaf payload (zeros inside)
+    cover: np.ndarray                    # (n_nodes,) training rows through the node
 
     @property
     def n_nodes(self) -> int:
@@ -106,27 +108,6 @@ class Tree:
                 wr = self.cover[r] / self.cover[node]
                 E[node] = wl * E[l] + wr * E[r]
         return E[0]
-
-    def to_dict(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value.tolist(),
-            "cover": self.cover.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Tree":
-        return cls(
-            feature=np.array(d["feature"], dtype=np.intp),
-            threshold=np.array(d["threshold"], dtype=np.float64),
-            left=np.array(d["left"], dtype=np.intp),
-            right=np.array(d["right"], dtype=np.intp),
-            value=np.array(d["value"], dtype=np.float64),
-            cover=np.array(d["cover"], dtype=np.float64),
-        )
 
 
 class _TreeBuilder:
@@ -423,7 +404,7 @@ def grow_gini_tree(X, y, n_classes: int, features: np.ndarray,
 
 
 @dataclass
-class TreeEnsembleModel:
+class TreeEnsembleModel(Model):
     mode: str                     # "bagging" or "boosting"
     classes: list[str]
     trees: list[Tree]
@@ -437,18 +418,10 @@ class TreeEnsembleModel:
 
     kind = "tree_ensemble"
 
-    def _check(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if X.shape[1] != len(self.feature_names):
-            raise SchemaMismatch(
-                f"expected {len(self.feature_names)} features, got {X.shape[1]}"
-            )
-        return self.stats.impute_only(X)
-
     def margins(self, X: np.ndarray) -> np.ndarray:
         """Boosting: per-class log-odds scores. Bagging: averaged leaf
         class distributions. Both are the scale SHAP explains."""
-        X = self._check(X)
+        X = self.stats.impute_only(self._rows(X))
         K = len(self.classes)
         if self.mode == "boosting":
             out = np.tile(self.base_score, (X.shape[0], 1))
@@ -465,38 +438,6 @@ class TreeEnsembleModel:
         if self.mode == "boosting":
             return softmax(m)
         return m
-
-    def predict_scores(self, X: np.ndarray) -> np.ndarray:
-        return self.predict_proba(X)
-
-    def predict_class(self, X: np.ndarray) -> np.ndarray:
-        return argmax_class(self.predict_proba(X), self.classes)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "mode": self.mode,
-            "classes": self.classes,
-            "trees": [t.to_dict() for t in self.trees],
-            "tree_class": self.tree_class,
-            "learning_rate": self.learning_rate,
-            "base_score": self.base_score.tolist(),
-            "stats": self.stats.to_dict(),
-            "feature_names": self.feature_names,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TreeEnsembleModel":
-        return cls(
-            mode=d["mode"],
-            classes=list(d["classes"]),
-            trees=[Tree.from_dict(t) for t in d["trees"]],
-            tree_class=list(d["tree_class"]),
-            learning_rate=float(d["learning_rate"]),
-            base_score=np.array(d["base_score"]),
-            stats=ColumnStats.from_dict(d["stats"]),
-            feature_names=list(d["feature_names"]),
-        )
 
 
 def _mirror(tree: Tree) -> Tree:

@@ -21,7 +21,7 @@ separate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -88,9 +88,6 @@ class SynthParams:
         if not (self.dt > 0 and self.eda_decay > 0 and self.eda_burst_amp > 0):
             raise BlowUp("need dt > 0, decay > 0, burst amplitude > 0")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class VolterraCoeffs:
@@ -113,9 +110,6 @@ class VolterraCoeffs:
         terms = (self.w1, self.w2, self.w3, self.w4, self.w5, self.w6) + self.cubic
         if all(t == 0.0 for t in terms):
             raise ArityMismatch("at least one Volterra term must be nonzero")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def volterra_response(z, coeffs: VolterraCoeffs) -> float:
@@ -445,11 +439,6 @@ class SessionSpec:
         if not self.block_s > 0:   # also rejects NaN
             raise ConfigError(f"block_s must be > 0, got {self.block_s!r}")
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["classes"] = list(self.classes)
-        return d
-
 
 def generate_session(spec: SessionSpec, coeffs: VolterraCoeffs | None,
                      seed: int, subject_id: str | None = None) -> Recording:
@@ -465,7 +454,6 @@ def generate_session(spec: SessionSpec, coeffs: VolterraCoeffs | None,
     hr_offsets = np.zeros(n_blocks)
     temp_offsets = np.zeros(n_blocks)
     acc_z = np.zeros(n_blocks)
-    acc_classes: list[str] = []
 
     if spec.mode == "threshold":
         if coeffs is None:
@@ -499,7 +487,6 @@ def generate_session(spec: SessionSpec, coeffs: VolterraCoeffs | None,
             u_shifts[b] = eff.eda_u_shift
             hr_offsets[b] = eff.hr_offset
             temp_offsets[b] = eff.temp_offset
-            acc_classes.append(eff.acc_class)
         # Motion is generated per block and concatenated.
         parts = [[], [], []]
         for b in range(n_blocks):
@@ -582,9 +569,7 @@ def generate_recordings(preset: str, n_subjects: int, seed: int,
         raise UnknownClass(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
     spec, coeffs = PRESETS[preset]()
     if duration_s is not None:
-        spec = SessionSpec(mode=spec.mode, classes=spec.classes,
-                           block_s=spec.block_s, duration_s=duration_s,
-                           start_epoch=spec.start_epoch, params=spec.params)
+        spec = replace(spec, duration_s=duration_s)
     return [
         generate_session(spec, coeffs, seed * 1000 + i, subject_id=f"S{i:03d}")
         for i in range(first, first + n_subjects)

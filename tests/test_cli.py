@@ -381,7 +381,8 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("flag, value", [
         ("--n-subjects", "-2"), ("--n-subjects", "0"), ("--duration-s", "nan"),
-        ("--duration-s", "inf"), ("--duration-s", "-5"), ("--duration-s", "0.5")])
+        ("--duration-s", "inf"), ("--duration-s", "-5"), ("--duration-s", "0.5"),
+        ("--test-fraction", "1.5"), ("--test-fraction", "0"), ("--test-fraction", "nan")])
     def test_bad_synth_cohort_is_config_error(self, tmp_path, monkeypatch, capfd,
                                               flag, value):
         code = _run(tmp_path, monkeypatch, [
@@ -392,6 +393,19 @@ class TestConfigHandling:
         assert err["type"] == "ConfigError"
         assert flag[2:].replace("-", "_") in err["message"]
         assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("folds", ["0", "-1", "1"])
+    def test_ablate_fewer_than_two_folds_is_config_error(self, tmp_path, monkeypatch,
+                                                         capfd, folds):
+        _feature_csv(tmp_path / "t.csv", "stress_16")
+        code = _run(tmp_path, monkeypatch, [
+            "ablate", "--features", "t.csv", "--trees", "3", "--folds", folds,
+            "--out", "run"])
+        assert code == 2
+        err = _error(capfd)
+        assert err["type"] == "KExceedsSubjects"
+        assert "k must be >= 2" in err["message"]
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("command, model, trees", [
         ("evaluate", "bagging", "0"), ("train", "bagging", "-3"),

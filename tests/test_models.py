@@ -667,6 +667,24 @@ class TestSerialization:
             assert np.array_equal(model.predict_class(query),
                                   clone.predict_class(query))
 
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_json_round_trip_is_byte_identical(self, n_classes):
+        data = _blobs(n=48, gap=1.5, seed=18)
+        data.labels = np.array(["abc"[i % n_classes] for i in range(data.n)], dtype=object)
+        cfgs = [TrainConfig(kind=kind, n_trees=15)
+                for kind in ("logistic", "knn", "bagging", "boosting", "svm")]
+        cfgs.append(TrainConfig(kind="boosting", n_trees=15, growth="leaf", splits="hist"))
+        for cfg in cfgs:
+            text = model_to_json(train_model(data, cfg))
+            clone = model_from_json(text)
+            assert model_to_json(clone) == text
+            if cfg.kind in ("bagging", "boosting"):
+                for tree in clone.trees:
+                    for index in (tree.feature, tree.left, tree.right):
+                        assert index.dtype == np.intp
+            if cfg.kind == "knn":
+                assert clone.point_classes.dtype == np.intp
+
     def test_json_is_plain_data(self):
         data = _blobs(n=30, gap=2.0, seed=16)
         doc = json.loads(model_to_json(train_model(data, TrainConfig(kind="boosting", n_trees=5))))
