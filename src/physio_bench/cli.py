@@ -30,14 +30,9 @@ from .features import (
     FeatureConfig,
     FeatureTable,
 )
-from .models import (
-    TrainConfig,
-    model_from_json,
-    model_to_json,
-    train_model,
-    tune_model,
-)
+from .models import TrainConfig, model_from_json, train_model, tune_model
 from .models.base import DataMatrix
+from .pipeline import write_artifacts
 from .windowing import WindowPolicy
 
 log = logging.getLogger("physio_bench.cli")
@@ -198,12 +193,9 @@ def setup_logging() -> None:
 
 
 # --- command implementations -----------------------------------------------------
-
-
-def _out_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+#
+# Each command returns its outputs as {file name: body}; `main` hands them
+# to `pipeline.write_artifacts`, which writes every file under --out.
 
 
 def _need_manifest(cfg: RunConfig) -> str:
@@ -238,23 +230,18 @@ def _load_matrix(cfg: RunConfig) -> DataMatrix:
     return DataMatrix.from_table(_load_table(cfg))
 
 
-def cmd_extract(cfg: RunConfig) -> int:
-    from .pipeline import dump_json, extract_table, write_table
+def cmd_extract(cfg: RunConfig) -> dict:
+    from .pipeline import extract_table
 
     table, report = extract_table(_need_manifest(cfg), cfg.window_policy(),
                                   cfg.schema, cfg.feature_config())
-    out = _out_dir(cfg)
-    write_table(out / "features.csv", table, cfg.provenance())
-    report_doc = {"provenance": cfg.provenance(), "report": report}
-    (out / "extract_report.json").write_text(dump_json(report_doc))
-    log.info("extract wrote %d windows to %s", len(table), out / "features.csv")
-    return EXIT_OK
+    log.info("extract kept %d windows", len(table))
+    return {"features.csv": table, "extract_report.json": {"report": report}}
 
 
-def cmd_train(cfg: RunConfig) -> int:
+def cmd_train(cfg: RunConfig) -> dict:
     from .evaluation import confusion_matrix, classification_metrics
     from .models.base import class_order
-    from .pipeline import dump_json
 
     matrix = _load_matrix(cfg)
     tcfg = cfg.train_config()
@@ -263,33 +250,26 @@ def cmd_train(cfg: RunConfig) -> int:
         model, tcfg, trace = tune_model(matrix, tcfg)
     else:
         model = train_model(matrix, tcfg)
-    out = _out_dir(cfg)
-    doc = json.loads(model_to_json(model))
-    doc["provenance"] = cfg.provenance()
-    (out / "model.json").write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
-
     pred = model.predict_class(matrix.X)
     cm = confusion_matrix(matrix.labels, pred, class_order(matrix.labels))
-    results = {
-        "provenance": cfg.provenance(),
-        "model": tcfg.to_dict(),
-        "training": classification_metrics(cm).to_dict(),
-        "tuning_trace": trace,
+    return {
+        "model.json": {**model.to_dict(), "model_kind": model.kind},
+        "train_results.json": {
+            "model": tcfg.to_dict(),
+            "training": classification_metrics(cm).to_dict(),
+            "tuning_trace": trace,
+        },
     }
-    (out / "train_results.json").write_text(dump_json(results))
-    log.info("train wrote %s", out / "model.json")
-    return EXIT_OK
 
 
-def _evaluate(cfg: RunConfig, split: str) -> tuple[dict, Path]:
-    """Run the named split plan on the configured table; writes results.json."""
+def _evaluate(cfg: RunConfig, split: str) -> dict:
+    """The results document of the named split plan on the configured table."""
     from .evaluation import (
         grouped_kfold,
         loso_folds,
         run_protocol,
         subject_holdout_split,
     )
-    from .pipeline import dump_json
 
     matrix = _load_matrix(cfg)
     subjects = sorted(set(matrix.groups))
@@ -302,22 +282,15 @@ def _evaluate(cfg: RunConfig, split: str) -> tuple[dict, Path]:
     results = run_protocol(matrix, cfg.train_config(), plan)
     results["dataset"] = cfg.features or cfg.manifest
     results["model"] = cfg.train_config().to_dict()
-    results["provenance"] = cfg.provenance()
-    out = _out_dir(cfg)
-    (out / "results.json").write_text(dump_json(results))
-    log.info("evaluate wrote %s", out / "results.json")
-    return results, out
+    return results
 
 
-def cmd_evaluate(cfg: RunConfig) -> int:
-    _evaluate(cfg, cfg.split)
-    return EXIT_OK
+def cmd_evaluate(cfg: RunConfig) -> dict:
+    return {"results.json": _evaluate(cfg, cfg.split)}
 
 
-def cmd_loso(cfg: RunConfig) -> int:
-    from .pipeline import provenance_line
-
-    results, out = _evaluate(cfg, "loso")
+def cmd_loso(cfg: RunConfig) -> dict:
+    results = _evaluate(cfg, "loso")
     lines = ["subject_id,n_windows,accuracy"]
     accs = []
     for fold in results["per_fold"]:
@@ -326,36 +299,25 @@ def cmd_loso(cfg: RunConfig) -> int:
         accs.append(acc)
         lines.append(f"{sid},{fold['n_windows']},{format(acc, '.9g')}")
     lines.append(f"mean,,{format(float(np.mean(accs)), '.9g')}")
-    (out / "loso_subjects.csv").write_text(provenance_line(cfg.provenance())
-                                           + "\n".join(lines) + "\n")
-    log.info("loso wrote %s", out / "loso_subjects.csv")
-    return EXIT_OK
+    return {"results.json": results, "loso_subjects.csv": "\n".join(lines) + "\n"}
 
 
-def cmd_ablate(cfg: RunConfig) -> int:
+def cmd_ablate(cfg: RunConfig) -> dict:
     from .ablation import ablation_csv, run_ablation
-    from .pipeline import dump_json, provenance_line
 
     matrix = _load_matrix(cfg)
     rows = run_ablation(matrix, cfg.train_config(), cfg.folds, cfg.seed,
                         cfg.alpha, cfg.correction, cfg.jobs)
-    out = _out_dir(cfg)
-    (out / "ablation.csv").write_text(provenance_line(cfg.provenance())
-                                      + ablation_csv(rows))
-    doc = {"provenance": cfg.provenance(), "rows": [r.to_dict() for r in rows]}
-    (out / "ablation.json").write_text(dump_json(doc))
-    log.info("ablate wrote %d rows to %s", len(rows), out / "ablation.csv")
-    return EXIT_OK
+    return {"ablation.csv": ablation_csv(rows),
+            "ablation.json": {"rows": [r.to_dict() for r in rows]}}
 
 
-def cmd_explain(cfg: RunConfig) -> int:
+def cmd_explain(cfg: RunConfig) -> dict:
     from .pipeline import (
         attributions_csv,
         class_summary_csv,
-        dump_json,
         explain_table,
         importance_doc,
-        provenance_line,
     )
 
     if cfg.model_path is None:
@@ -370,43 +332,28 @@ def cmd_explain(cfg: RunConfig) -> int:
         )
     table = _load_table(cfg)
     attributions, audit = explain_table(model, table)
-    out = _out_dir(cfg)
-    prov_line = provenance_line(cfg.provenance())
-    (out / "attributions.csv").write_text(prov_line + attributions_csv(attributions))
-    (out / "importance.json").write_text(
-        dump_json(importance_doc(attributions, audit, cfg.provenance()))
-    )
-    (out / "class_summary.csv").write_text(
-        prov_line + class_summary_csv(attributions, list(table.labels))
-    )
-    log.info("explain wrote %d attributions (local accuracy ok=%s)",
+    log.info("explain attributed %d rows (local accuracy ok=%s)",
              audit["rows"], audit["all_rows_within_1e-8"])
-    return EXIT_OK
+    return {
+        "attributions.csv": attributions_csv(attributions),
+        "importance.json": importance_doc(attributions, audit),
+        "class_summary.csv": class_summary_csv(attributions, list(table.labels)),
+    }
 
 
-def cmd_synth(cfg: RunConfig) -> int:
+def cmd_synth(cfg: RunConfig) -> dict:
     from .synth import write_dataset
 
-    out = _out_dir(cfg)
-    manifest_path = write_dataset(out, cfg.preset, cfg.n_subjects, cfg.seed,
-                                  cfg.duration_s, cfg.jobs)
-    # Re-write with provenance embedded (loaders ignore the extra key).
-    doc = json.loads(manifest_path.read_text())
-    doc["provenance"] = cfg.provenance()
-    manifest_path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    log.info("synth wrote %d sessions under %s", cfg.n_subjects, out)
-    return EXIT_OK
+    manifest = write_dataset(cfg.out, cfg.preset, cfg.n_subjects, cfg.seed,
+                             cfg.duration_s, cfg.jobs)
+    log.info("synth generated %d sessions", cfg.n_subjects)
+    return {"manifest.json": manifest}
 
 
-def cmd_summary(cfg: RunConfig) -> int:
-    from .pipeline import dump_json, summary_doc
+def cmd_summary(cfg: RunConfig) -> dict:
+    from .pipeline import summary_doc
 
-    doc = summary_doc(_need_manifest(cfg))
-    doc["provenance"] = cfg.provenance()
-    out = _out_dir(cfg)
-    (out / "summary.json").write_text(dump_json(doc))
-    log.info("summary wrote %s", out / "summary.json")
-    return EXIT_OK
+    return {"summary.json": summary_doc(_need_manifest(cfg))}
 
 
 COMMANDS = {
@@ -465,7 +412,10 @@ def main(argv: list[str] | None = None) -> int:
                  if k not in ("command", "config")}
     try:
         cfg = load_config(args.config, overrides)
-        return COMMANDS[args.command](cfg)
+        artifacts = COMMANDS[args.command](cfg)
+        write_artifacts(cfg.out, cfg.provenance(), artifacts)
+        log.info("%s wrote %s to %s", args.command, ", ".join(artifacts), cfg.out)
+        return EXIT_OK
     except PhysioBenchError as e:
         code = EXIT_CONFIG if isinstance(e, ConfigError) else EXIT_DATA
         print(json.dumps({"error": {

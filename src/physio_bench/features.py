@@ -19,7 +19,6 @@ model-fit time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -457,19 +456,13 @@ def build_table(windows: list[Window], schema: FeatureSchema,
     return FeatureTable(schema, X, subjects, starts, labels)
 
 
-def _fmt_value(v: float) -> str:
-    if math.isnan(v):
-        return "nan"
-    return format(v, ".9g")
-
-
 def table_to_csv(table: FeatureTable) -> str:
     header = ["subject_id", "window_start", "label"] + table.schema.names
     lines = [",".join(header)]
     for i in range(len(table)):
         row = [str(table.subjects[i]), repr(float(table.window_starts[i])),
                str(table.labels[i])]
-        row.extend(_fmt_value(v) for v in table.X[i])
+        row.extend(format(v, ".9g") for v in table.X[i])
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 

@@ -61,11 +61,21 @@ def model_to_json(model) -> str:
 
 
 def model_from_json(text: str):
-    doc = json.loads(text)
+    """The model a `model.json` text holds; text that is not a JSON
+    object of a known kind with all its fields raises SchemaMismatch."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise SchemaMismatch(f"model file is not JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise SchemaMismatch("model file must hold a JSON object")
     kind = doc.get("model_kind") or doc.get("kind")
     if kind not in _MODEL_CLASSES:
         raise SchemaMismatch(f"unknown serialized model kind {kind!r}")
-    return _MODEL_CLASSES[kind].from_dict(doc)
+    try:
+        return _MODEL_CLASSES[kind].from_dict(doc)
+    except KeyError as e:
+        raise SchemaMismatch(f"{kind} model file lacks the field {e}") from None
 
 
 # --- hyperparameter tuning ----------------------------------------------------

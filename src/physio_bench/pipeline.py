@@ -1,13 +1,20 @@
-"""End-to-end orchestration shared by the CLI commands.
+"""End-to-end orchestration shared by the CLI commands, and the one
+writer of their artifacts.
 
 Sessions are loaded, windowed and summarised one after another in
 manifest order; `--jobs` does not apply here. It parallelises only the
-fits of ablate and the sessions of synth (see `parallel.py`)."""
+fits of ablate and the sessions of synth (see `parallel.py`).
+
+Each command returns its outputs as `{file name: body}`, and
+`write_artifacts` writes them all once the computation has finished: it
+stamps every JSON document and every CSV header with the run's
+provenance, and encodes non-finite floats the same way everywhere."""
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 from pathlib import Path
 
 import numpy as np
@@ -30,21 +37,26 @@ log = logging.getLogger("physio_bench.pipeline")
 
 
 def jsonable(obj):
-    """Recursively convert numpy scalars/arrays so json can serialize."""
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
+    """`obj` with numpy scalars and arrays made plain Python and each
+    non-finite float written as "inf" / "-inf" (NaN as None), so the
+    document encodes as strict JSON."""
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if math.isfinite(x):
+            return x
+        return None if math.isnan(x) else ("inf" if x > 0 else "-inf")
+    if isinstance(obj, (str, int)):
+        return obj
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
+        return jsonable(obj.tolist())
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (np.bool_,)):
+    if isinstance(obj, np.bool_):
         return bool(obj)
-    if isinstance(obj, float) and (np.isnan(obj) or np.isinf(obj)):
-        return None if np.isnan(obj) else ("inf" if obj > 0 else "-inf")
     return obj
 
 
@@ -114,6 +126,23 @@ def provenance_line(provenance: dict) -> str:
 
 def write_table(path: Path, table: FeatureTable, provenance: dict) -> None:
     path.write_text(provenance_line(provenance) + table_to_csv(table))
+
+
+def write_artifacts(out: str | Path, provenance: dict,
+                    artifacts: dict[str, dict | str | FeatureTable]) -> None:
+    """Write a command's outputs under `out`, created if missing. A dict
+    is a JSON document and gets a `provenance` key; a string is CSV text
+    and gets the provenance line in front; a FeatureTable is written as
+    CSV by `write_table`."""
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, body in artifacts.items():
+        if isinstance(body, FeatureTable):
+            write_table(out / name, body, provenance)
+        elif isinstance(body, dict):
+            (out / name).write_text(dump_json({**body, "provenance": provenance}))
+        else:
+            (out / name).write_text(provenance_line(provenance) + body)
 
 
 def read_table(path: str | Path, schema_name: str = "custom") -> FeatureTable:
@@ -199,11 +228,9 @@ def class_summary_csv(attributions: list[Attribution], labels) -> str:
     return "\n".join(lines) + "\n"
 
 
-def importance_doc(attributions: list[Attribution], audit: dict,
-                   provenance: dict) -> dict:
+def importance_doc(attributions: list[Attribution], audit: dict) -> dict:
     ranking = global_importance(attributions)
     return {
-        "provenance": provenance,
         "local_accuracy": audit,
         "global_importance": [
             {"feature": name, "mean_abs_shap": value} for name, value in ranking

@@ -577,12 +577,12 @@ def generate_recordings(preset: str, n_subjects: int, seed: int,
 
 
 def write_dataset(out_dir: str | Path, preset: str, n_subjects: int, seed: int,
-                  duration_s: float | None = None, jobs: int = 1) -> Path:
-    """Write a cohort in E4 directory format plus its manifest; returns the
-    manifest path. Each session is generated and written on one of `jobs`
-    forked workers, which sends back only its manifest entry."""
-    import json
-
+                  duration_s: float | None = None, jobs: int = 1) -> dict:
+    """Write a cohort's sessions in E4 directory format under
+    `out_dir/sessions`; returns the manifest document, which the caller
+    writes as `out_dir/manifest.json`. Each session is generated and
+    written on one of `jobs` forked workers, which sends back only its
+    manifest entry."""
     from .ingest import write_session
     from .parallel import map_ordered
 
@@ -602,8 +602,4 @@ def write_dataset(out_dir: str | Path, preset: str, n_subjects: int, seed: int,
         }
 
     sessions = map_ordered(write_one, range(n_subjects), jobs)
-    manifest = {"dataset": f"synthetic-{preset}", "sessions": sessions}
-    path = out_dir / "manifest.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(manifest, indent=1, sort_keys=True))
-    return path
+    return {"dataset": f"synthetic-{preset}", "sessions": sessions}

@@ -263,6 +263,19 @@ class TestTrainExplain:
         doc = json.loads(capfd.readouterr().err.strip().splitlines()[-1])
         assert "knn" in doc["error"]["message"]
 
+    @pytest.mark.parametrize("text", ["{not json", "[]", '{"model_kind": "tree_ensemble"}'],
+                             ids=["not-json", "not-object", "missing-field"])
+    def test_malformed_model_file_is_data_error(self, tmp_path, monkeypatch, capfd,
+                                                text):
+        _feature_csv(tmp_path / "t.csv", "stress_16")
+        (tmp_path / "model.json").write_text(text)
+        code = _run(tmp_path, monkeypatch, [
+            "explain", "--model-path", "model.json", "--features", "t.csv",
+            "--out", "run"])
+        assert code == 3
+        assert _error(capfd)["type"] == "SchemaMismatch"
+        assert not (tmp_path / "run").exists()
+
 
 #: One flag value per RunConfig field (None: a flag that takes no value),
 #: and the field value it must produce, type included.
@@ -365,6 +378,16 @@ class TestConfigHandling:
                 if pattern.search(path.read_text())}
         assert hits == {"parallel.py"}
 
+    def test_only_pipeline_writes_artifacts(self):
+        # `pipeline.write_artifacts` writes every command output, so the
+        # artifact format lives in one module; ingest writes E4 sessions.
+        import physio_bench
+        pattern = re.compile(r"write_text|write_bytes|open\(")
+        hits = {path.name
+                for path in sorted(Path(physio_bench.__file__).parent.rglob("*.py"))
+                if pattern.search(path.read_text())}
+        assert hits == {"pipeline.py", "ingest.py"}
+
     @pytest.mark.parametrize(
         "flag", ["--learning-rate", "--reg-lambda", "--svm-c", "--l2", "--svm-sigma"])
     def test_nan_hyperparameter_is_config_error(self, tmp_path, monkeypatch,
@@ -445,6 +468,34 @@ class TestConfigHandling:
             assert head.startswith("# "), path.name
             doc = json.loads(head[2:], parse_constant=reject)
             assert doc["config"]["scr_min_prominence"] == "inf", path.name
+
+    def test_json_artifacts_are_strict_json_under_non_finite_config(
+            self, tmp_path, monkeypatch):
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+
+        common = ["--scr-min-prominence", "inf", "--trees", "3", "--seed", "5"]
+        manifest = ["--manifest", "data/manifest.json"]
+        features = ["--features", "run/features.csv"]
+        for argv in (["synth", "--n-subjects", "3", "--duration-s", "250",
+                      "--out", "data"],
+                     ["extract", "--out", "run"] + manifest,
+                     ["evaluate", "--out", "eval"] + features,
+                     ["loso", "--out", "run"] + features,
+                     ["ablate", "--folds", "3", "--out", "run"] + features,
+                     ["train", "--out", "run"] + features,
+                     ["explain", "--model-path", "run/model.json", "--out", "run"]
+                     + features,
+                     ["summary", "--out", "summary"] + manifest):
+            assert _run(tmp_path, monkeypatch, argv + common) == 0, argv[0]
+        docs = sorted(tmp_path.rglob("*.json"))
+        assert [p.name for p in docs] == [
+            "manifest.json", "results.json", "ablation.json", "extract_report.json",
+            "importance.json", "model.json", "results.json", "train_results.json",
+            "summary.json"]
+        for path in docs:
+            doc = json.loads(path.read_text(), parse_constant=reject)
+            assert doc["provenance"]["config"]["scr_min_prominence"] == "inf", path
 
 
 class TestAblateSummary:

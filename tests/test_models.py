@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from physio_bench.errors import KTooLarge, SingleClass
+from physio_bench.errors import KTooLarge, SchemaMismatch, SingleClass
 from physio_bench.models import (
     DataMatrix,
     TrainConfig,
@@ -690,6 +690,16 @@ class TestSerialization:
         doc = json.loads(model_to_json(train_model(data, TrainConfig(kind="boosting", n_trees=5))))
         assert doc["model_kind"] == "tree_ensemble"
         assert isinstance(doc["trees"], list)
+
+
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "not JSON"),
+        ("[1, 2]", "JSON object"),
+        ('{"model_kind": "tree_ensemble"}', "lacks the field"),
+    ], ids=["not-json", "not-object", "missing-field"])
+    def test_malformed_json_is_schema_mismatch(self, text, message):
+        with pytest.raises(SchemaMismatch, match=message):
+            model_from_json(text)
 
 
 class TestTuning:

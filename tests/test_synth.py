@@ -328,11 +328,8 @@ class TestGenerateSession:
                                      "ACC_X", "ACC_Y", "ACC_Z"}
 
     def test_ten_subject_manifest_lists_ten_balanced_sessions(self, tmp_path):
-        import json
-
-        manifest = synth.write_dataset(tmp_path, "interaction", 10, seed=23,
-                                       duration_s=250.0)
-        doc = json.loads(manifest.read_text())
+        doc = synth.write_dataset(tmp_path, "interaction", 10, seed=23,
+                                  duration_s=250.0)
         assert len(doc["sessions"]) == 10
         labels = [seg["label"] for sess in doc["sessions"]
                   for seg in sess["segments"]]
@@ -341,11 +338,14 @@ class TestGenerateSession:
         assert min(counts.values()) >= 0.2 * len(labels)
 
     def test_write_dataset_round_trips_through_ingest(self, tmp_path):
+        import json
+
         from physio_bench.ingest import load_dataset
 
-        manifest = synth.write_dataset(tmp_path, "interaction", 2, seed=18,
-                                       duration_s=130.0)
-        recs = load_dataset(manifest)
+        doc = synth.write_dataset(tmp_path, "interaction", 2, seed=18,
+                                  duration_s=130.0)
+        (tmp_path / "manifest.json").write_text(json.dumps(doc))
+        recs = load_dataset(tmp_path / "manifest.json")
         assert len(recs) == 2
         originals = synth.generate_recordings("interaction", 2, seed=18,
                                               duration_s=130.0)
