@@ -78,15 +78,11 @@ def enumerate_configs(modalities: list[str],
 
 
 def enumerate_configs_for_matrix(matrix: DataMatrix) -> list[AblationConfig]:
-    from .features import FEATURE_DEFS
+    from .features import schema_from_names
 
-    feature_modalities = {n: FEATURE_DEFS[n].modality for n in matrix.feature_names}
-    modalities: list[str] = []
-    for n in matrix.feature_names:
-        m = feature_modalities[n]
-        if m not in modalities:
-            modalities.append(m)
-    return enumerate_configs(modalities, feature_modalities)
+    schema = schema_from_names(matrix.feature_names)
+    return enumerate_configs(schema.modalities,
+                             {f.name: f.modality for f in schema.features})
 
 
 def mask_features(matrix: DataMatrix, config: AblationConfig) -> DataMatrix:

@@ -30,6 +30,7 @@ from .features import (
     FeatureConfig,
     FeatureTable,
 )
+from .ingest import MODALITY_CHANNELS
 from .models import TrainConfig, model_from_json, train_model, tune_model
 from .models.base import DataMatrix
 from .pipeline import write_artifacts
@@ -110,6 +111,8 @@ class RunConfig:
             raise ConfigError("alpha must be in (0,1)")
         if not (0 < self.test_fraction < 1):
             raise ConfigError("test_fraction must be in (0,1)")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
         if self.n_subjects < 1:
@@ -122,10 +125,8 @@ class RunConfig:
     def window_policy(self) -> WindowPolicy:
         required = self.required
         if required is None:
-            required = [
-                m for m in ("EDA", "TEMP", "HR", "ACC", "BVP")
-                if any(f.modality == m for f in SCHEMA_PRESETS[self.schema].features)
-            ]
+            required = [m for m in SCHEMA_PRESETS[self.schema].modalities
+                        if m in MODALITY_CHANNELS]
         return WindowPolicy(self.window_s, self.stride_s, self.min_fill,
                             frozenset(required), self.label_rule)
 

@@ -9,7 +9,7 @@ invariant to monotone score transforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -120,16 +120,7 @@ class MetricsReport:
     degenerate_classes: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "macro_f1": self.macro_f1,
-            "weighted_f1": self.weighted_f1,
-            "auc": self.auc,
-            "degenerate_classes": self.degenerate_classes,
-        }
+        return asdict(self)
 
 
 def classification_metrics(cm: ConfusionMatrix) -> MetricsReport:

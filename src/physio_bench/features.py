@@ -7,19 +7,26 @@ signal energy, and per-axis ACC mean/std. Mean/std features use population
 moments; SDNN is the Bessel-corrected standard deviation of the beat
 intervals (standard HRV convention).
 
+`FAMILIES` is the one table of features: a row per family gives its
+modality, the channels it reads, its (name, unit) pairs, the function that
+computes them in one call, and whether it is optional. `FEATURE_DEFS` and
+the schema presets are derived from it, so a feature is one entry of a
+row.
+
 Peaks (SCR and BVP systolic) are strict local maxima filtered by
 topographic prominence, computed for all peaks at once from range-max and
 range-min sparse tables (scipy's definition, bit for bit), then thinned to
 a minimum separation, taller peaks first.
 
-Values are assembled in schema order into fixed-length vectors; optional
-features (HRV with too few beats) carry NaN and are imputed downstream at
-model-fit time.
+Values are assembled in schema order into fixed-length vectors, each family
+computed once per window; optional features (HRV with too few beats) carry
+NaN and are imputed downstream at model-fit time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -257,33 +264,57 @@ class Feature:
     optional: bool = False
 
 
-#: Registry of every feature this toolkit can compute.
-FEATURE_DEFS = {
-    "eda_mean": Feature("eda_mean", "EDA", "z"),
-    "eda_std": Feature("eda_std", "EDA", "z"),
-    "eda_slope": Feature("eda_slope", "EDA", "z/s"),
-    "eda_scr_count": Feature("eda_scr_count", "EDA", "count"),
-    "temp_mean": Feature("temp_mean", "TEMP", "z"),
-    "temp_std": Feature("temp_std", "TEMP", "z"),
-    "hr_mean": Feature("hr_mean", "HR", "z"),
-    "hr_std": Feature("hr_std", "HR", "z"),
-    "sdnn": Feature("sdnn", "HR", "s", optional=True),
-    "rmssd": Feature("rmssd", "HR", "s", optional=True),
-    "bvp_sdnn": Feature("bvp_sdnn", "HRV", "s", optional=True),
-    "bvp_rmssd": Feature("bvp_rmssd", "HRV", "s", optional=True),
-    "bvp_amp": Feature("bvp_amp", "BVP", "z"),
-    "bvp_energy": Feature("bvp_energy", "BVP", "z^2"),
-    "acc_x_mean": Feature("acc_x_mean", "ACC", "g"),
-    "acc_x_std": Feature("acc_x_std", "ACC", "g"),
-    "acc_y_mean": Feature("acc_y_mean", "ACC", "g"),
-    "acc_y_std": Feature("acc_y_std", "ACC", "g"),
-    "acc_z_mean": Feature("acc_z_mean", "ACC", "g"),
-    "acc_z_std": Feature("acc_z_std", "ACC", "g"),
+@dataclass(frozen=True)
+class Family:
+    """Features that one call computes from the same window channels.
+
+    `compute(window, cfg, *samples)` gets the window's samples of each
+    channel, in `channels` order, and returns one value per feature. An
+    optional family gives NaN for all its features on InsufficientBeats.
+    """
+
+    modality: str
+    channels: tuple[str, ...]
+    features: tuple[tuple[str, str], ...]  # (name, unit)
+    compute: Callable[..., tuple]
+    optional: bool = False
+
+
+#: Every feature this toolkit can compute, one row per family. Adding a
+#: feature means adding its (name, unit) to a row, or a new row.
+FAMILIES = {
+    "eda": Family(
+        "EDA", ("EDA",),
+        (("eda_mean", "z"), ("eda_std", "z"), ("eda_slope", "z/s"),
+         ("eda_scr_count", "count")),
+        lambda w, cfg, s: eda_features(s, w.rates["EDA"], cfg)),
+    "temp": Family("TEMP", ("TEMP",), (("temp_mean", "z"), ("temp_std", "z")),
+                   lambda w, cfg, s: temp_features(s)),
+    "hr": Family("HR", ("HR",), (("hr_mean", "z"), ("hr_std", "z")),
+                 lambda w, cfg, s: temp_features(s)),
+    # HRV from the IBI events; a window with fewer than 2 has none.
+    "ibi_hrv": Family("HR", (), (("sdnn", "s"), ("rmssd", "s")),
+                      lambda w, cfg: hrv_metrics(w.ibi_durations), optional=True),
+    # HRV from BVP systolic peaks, for sessions without an IBI stream.
+    "bvp_hrv": Family(
+        "HRV", ("BVP",), (("bvp_sdnn", "s"), ("bvp_rmssd", "s")),
+        lambda w, cfg, s: hrv_from_peaks(detect_bvp_peaks(s, w.rates["BVP"], cfg)),
+        optional=True),
+    "bvp": Family("BVP", ("BVP",), (("bvp_amp", "z"), ("bvp_energy", "z^2")),
+                  lambda w, cfg, s: bvp_features(s)),
+    "acc": Family(
+        "ACC", ("ACC_X", "ACC_Y", "ACC_Z"),
+        (("acc_x_mean", "g"), ("acc_x_std", "g"), ("acc_y_mean", "g"),
+         ("acc_y_std", "g"), ("acc_z_mean", "g"), ("acc_z_std", "g")),
+        lambda w, cfg, x, y, z: acc_features(x, y, z)),
 }
 
-_EDA = ["eda_mean", "eda_std", "eda_slope", "eda_scr_count"]
-_TEMP = ["temp_mean", "temp_std"]
-_ACC = ["acc_x_mean", "acc_x_std", "acc_y_mean", "acc_y_std", "acc_z_mean", "acc_z_std"]
+#: Feature name -> (family key, position in the family's values).
+_FAMILY_OF = {name: (key, j) for key, fam in FAMILIES.items()
+              for j, (name, _) in enumerate(fam.features)}
+
+FEATURE_DEFS = {name: Feature(name, fam.modality, unit, fam.optional)
+                for fam in FAMILIES.values() for name, unit in fam.features}
 
 
 @dataclass(frozen=True)
@@ -311,6 +342,8 @@ class FeatureSchema:
 
     @property
     def modalities(self) -> list[str]:
+        """Modalities in order of first appearance; the window policy and
+        the ablation grid both take theirs from here."""
         seen: list[str] = []
         for f in self.features:
             if f.modality not in seen:
@@ -318,33 +351,27 @@ class FeatureSchema:
         return seen
 
 
-def _schema(name: str, feature_names: list[str]) -> FeatureSchema:
-    return FeatureSchema(name, tuple(FEATURE_DEFS[n] for n in feature_names))
-
-
-SCHEMA_PRESETS = {
-    # Three-class stress/exercise layout, HR block reduced to SDNN+RMSSD.
-    "stress_14": _schema("stress_14", _EDA + _TEMP + ["sdnn", "rmssd"] + _ACC),
-    # Same layout keeping the HR channel stats.
-    "stress_16": _schema("stress_16", _EDA + _TEMP + ["hr_mean", "hr_std", "sdnn", "rmssd"] + _ACC),
-    # Exam-performance layout: adds the BVP amplitude/energy pair.
-    "exam_18": _schema(
-        "exam_18",
-        _EDA + _TEMP + ["hr_mean", "hr_std", "sdnn", "rmssd"] + _ACC + ["bvp_amp", "bvp_energy"],
-    ),
-    # Cognitive-load layout: HRV comes from BVP peaks, no HR channel needed.
-    "cogload_16": _schema(
-        "cogload_16",
-        _EDA + _TEMP + ["bvp_sdnn", "bvp_rmssd"] + _ACC + ["bvp_amp", "bvp_energy"],
-    ),
-}
-
-
 def schema_from_names(names: list[str], schema_name: str = "custom") -> FeatureSchema:
     unknown = [n for n in names if n not in FEATURE_DEFS]
     if unknown:
         raise SchemaMismatch(f"unknown feature names: {unknown}")
     return FeatureSchema(schema_name, tuple(FEATURE_DEFS[n] for n in names))
+
+
+SCHEMA_PRESETS = {
+    name: schema_from_names(
+        [n for key in keys for n, _ in FAMILIES[key].features], name)
+    for name, keys in {
+        # Three-class stress/exercise layout, HR block reduced to SDNN+RMSSD.
+        "stress_14": ("eda", "temp", "ibi_hrv", "acc"),
+        # Same layout keeping the HR channel stats.
+        "stress_16": ("eda", "temp", "hr", "ibi_hrv", "acc"),
+        # Exam-performance layout: adds the BVP amplitude/energy pair.
+        "exam_18": ("eda", "temp", "hr", "ibi_hrv", "acc", "bvp"),
+        # Cognitive-load layout: HRV comes from BVP peaks, no HR channel needed.
+        "cogload_16": ("eda", "temp", "bvp_hrv", "acc", "bvp"),
+    }.items()
+}
 
 
 @dataclass
@@ -355,70 +382,37 @@ class FeatureVector:
     label: str
 
 
-def _require(window: Window, channel: str, feature: str) -> np.ndarray:
-    if channel not in window.samples or len(window.samples[channel]) == 0:
-        raise MissingRequiredModality(
-            f"feature {feature} needs channel {channel}, absent in window at "
-            f"{window.t_start} of subject {window.subject_id}"
-        )
-    return window.samples[channel]
-
-
 def assemble(window: Window, schema: FeatureSchema,
              cfg: FeatureConfig = DEFAULT_FEATURE_CONFIG) -> FeatureVector:
-    """Compute every schema feature for one window, in schema order."""
-    cache: dict[str, tuple] = {}
+    """Compute every schema feature for one window, in schema order; each
+    family is computed once, at its first feature."""
+    computed: dict[str, tuple] = {}
     values = np.empty(len(schema))
-
     for i, feat in enumerate(schema.features):
-        try:
-            values[i] = _compute(window, feat, cache, cfg)
-        except InsufficientBeats:
-            if not feat.optional:
-                raise
-            values[i] = np.nan
+        key, j = _FAMILY_OF[feat.name]
+        if key not in computed:
+            computed[key] = _family_values(window, FAMILIES[key], feat.name, cfg)
+        values[i] = computed[key][j]
     return FeatureVector(window.subject_id, window.t_start, values, window.label)
 
 
-def _compute(window: Window, feat: Feature, cache: dict, cfg: FeatureConfig) -> float:
-    name = feat.name
-    if name.startswith("eda_"):
-        if "eda" not in cache:
-            s = _require(window, "EDA", name)
-            cache["eda"] = eda_features(s, window.rates["EDA"], cfg)
-        return cache["eda"][_EDA.index(name)]
-    if name.startswith("temp_"):
-        if "temp" not in cache:
-            cache["temp"] = temp_features(_require(window, "TEMP", name))
-        return cache["temp"][_TEMP.index(name)]
-    if name in ("hr_mean", "hr_std"):
-        if "hr" not in cache:
-            s = _require(window, "HR", name)
-            cache["hr"] = (float(np.mean(s)), float(np.std(s)))
-        return cache["hr"][0 if name == "hr_mean" else 1]
-    if name in ("sdnn", "rmssd"):
-        if "ibi" not in cache:
-            cache["ibi"] = hrv_metrics(window.ibi_durations)
-        return cache["ibi"][0 if name == "sdnn" else 1]
-    if name in ("bvp_sdnn", "bvp_rmssd"):
-        if "bvp_hrv" not in cache:
-            s = _require(window, "BVP", name)
-            peaks = detect_bvp_peaks(s, window.rates["BVP"], cfg)
-            cache["bvp_hrv"] = hrv_from_peaks(peaks)
-        return cache["bvp_hrv"][0 if name == "bvp_sdnn" else 1]
-    if name in ("bvp_amp", "bvp_energy"):
-        if "bvp" not in cache:
-            cache["bvp"] = bvp_features(_require(window, "BVP", name))
-        return cache["bvp"][0 if name == "bvp_amp" else 1]
-    if name.startswith("acc_"):
-        if "acc" not in cache:
-            cache["acc"] = acc_features(
-                _require(window, "ACC_X", name),
-                _require(window, "ACC_Y", name),
-                _require(window, "ACC_Z", name),
+def _family_values(window: Window, family: Family, feature: str,
+                   cfg: FeatureConfig) -> tuple:
+    samples = []
+    for channel in family.channels:
+        s = window.samples.get(channel)
+        if s is None or len(s) == 0:
+            raise MissingRequiredModality(
+                f"feature {feature} needs channel {channel}, absent in window at "
+                f"{window.t_start} of subject {window.subject_id}"
             )
-        return cache["acc"][_ACC.index(name)]
-    raise SchemaMismatch(f"no computation registered for feature {name}")
+        samples.append(s)
+    try:
+        return family.compute(window, cfg, *samples)
+    except InsufficientBeats:
+        if not family.optional:
+            raise
+        return (np.nan,) * len(family.features)
 
 
 # --- feature tables -----------------------------------------------------------

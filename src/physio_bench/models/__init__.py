@@ -62,7 +62,8 @@ def model_to_json(model) -> str:
 
 def model_from_json(text: str):
     """The model a `model.json` text holds; text that is not a JSON
-    object of a known kind with all its fields raises SchemaMismatch."""
+    object of a known kind with all its fields, each of the right shape,
+    raises SchemaMismatch."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -76,6 +77,8 @@ def model_from_json(text: str):
         return _MODEL_CLASSES[kind].from_dict(doc)
     except KeyError as e:
         raise SchemaMismatch(f"{kind} model file lacks the field {e}") from None
+    except (TypeError, ValueError) as e:
+        raise SchemaMismatch(f"{kind} model file has a malformed field: {e}") from None
 
 
 # --- hyperparameter tuning ----------------------------------------------------
@@ -112,10 +115,9 @@ def tune_model(data: DataMatrix, cfg: TrainConfig):
 
     grid = cfg.grid if cfg.grid is not None else default_grid(cfg.kind)
     subjects = sorted(set(data.groups))
-    k = min(cfg.cv_folds, len(subjects))
-    if k < 2:
+    if len(subjects) < 2:
         raise ConfigError("tuning needs at least 2 subjects")
-    plan = grouped_kfold(subjects, k, cfg.seed)
+    plan = grouped_kfold(subjects, min(cfg.cv_folds, len(subjects)), cfg.seed)
 
     trace = []
     best = None

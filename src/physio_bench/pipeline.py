@@ -80,14 +80,8 @@ def _session_windows(path: Path, entry: ManifestEntry, policy: WindowPolicy
         name: vars(s) for name, s in rec.screening.items()
         if s.present and (s.empty or s.dropout_runs)
     }
-    return windows, {
-        "candidates": report.candidates,
-        "retained": report.retained,
-        "dropped_fill": report.dropped_fill,
-        "dropped_label": report.dropped_label,
-        "screening_flags": screen,
-        "ibi_rows_dropped": rec.ibi_dropped,
-    }
+    return windows, {**vars(report), "screening_flags": screen,
+                     "ibi_rows_dropped": rec.ibi_dropped}
 
 
 def extract_table(manifest_path: str | Path, policy: WindowPolicy,

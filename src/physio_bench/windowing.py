@@ -131,37 +131,23 @@ def assign_label(t_start: float, t_end: float, segments: list[LabelSegment],
     return None
 
 
-def normalize_recording(rec: Recording) -> tuple[Recording, dict[str, NormalizationStats]]:
-    """Subject-level z-normalization of every channel."""
-    stats = {name: compute_stats(s) for name, s in rec.channels.items()}
-    channels = {name: znormalize(s, stats[name]) for name, s in rec.channels.items()}
-    normalized = Recording(
-        subject_id=rec.subject_id,
-        channels=channels,
-        ibi=rec.ibi,
-        segments=rec.segments,
-        screening=rec.screening,
-        ibi_dropped=rec.ibi_dropped,
-    )
-    return normalized, stats
-
-
 def segment_with_report(rec: Recording, policy: WindowPolicy) -> tuple[list[Window], SegmentReport]:
     """Normalize, then cut overlapping windows over the usable joint span."""
-    normalized, _ = normalize_recording(rec)
+    channels = {name: znormalize(s, compute_stats(s))
+                for name, s in rec.channels.items()}
 
     required_channels: list[str] = []
     for modality in sorted(policy.required_modalities):
         for ch in MODALITY_CHANNELS[modality]:
-            if ch not in normalized.channels:
+            if ch not in channels:
                 raise NoUsableSpan(
                     f"required modality {modality} has no {ch} channel for "
                     f"subject {rec.subject_id}"
                 )
             required_channels.append(ch)
 
-    span_start = max(normalized.channels[ch].start_epoch for ch in required_channels)
-    span_end = min(normalized.channels[ch].end_epoch for ch in required_channels)
+    span_start = max(channels[ch].start_epoch for ch in required_channels)
+    span_end = min(channels[ch].end_epoch for ch in required_channels)
     n_candidates = candidate_count(span_end - span_start, policy.window_s, policy.stride_s)
     if n_candidates == 0:
         raise NoUsableSpan(
@@ -170,8 +156,8 @@ def segment_with_report(rec: Recording, policy: WindowPolicy) -> tuple[list[Wind
         )
 
     report = SegmentReport(candidates=n_candidates)
-    ibi_times = normalized.ibi.times() if normalized.ibi is not None else np.empty(0)
-    ibi_durs = normalized.ibi.durations if normalized.ibi is not None else np.empty(0)
+    ibi_times = rec.ibi.times() if rec.ibi is not None else np.empty(0)
+    ibi_durs = rec.ibi.durations if rec.ibi is not None else np.empty(0)
 
     windows: list[Window] = []
     for k in range(n_candidates):
@@ -180,7 +166,7 @@ def segment_with_report(rec: Recording, policy: WindowPolicy) -> tuple[list[Wind
 
         ok = True
         for ch in required_channels:
-            series = normalized.channels[ch]
+            series = channels[ch]
             i_lo, i_hi = slice_indices(series, t0, t1)
             if (i_hi - i_lo) < policy.min_fill * policy.window_s * series.rate_hz:
                 ok = False
@@ -196,7 +182,7 @@ def segment_with_report(rec: Recording, policy: WindowPolicy) -> tuple[list[Wind
 
         samples: dict[str, np.ndarray] = {}
         rates: dict[str, float] = {}
-        for ch, series in normalized.channels.items():
+        for ch, series in channels.items():
             i_lo, i_hi = slice_indices(series, t0, t1)
             samples[ch] = series.values[i_lo:i_hi]
             rates[ch] = series.rate_hz

@@ -405,7 +405,8 @@ class TestConfigHandling:
     @pytest.mark.parametrize("flag, value", [
         ("--n-subjects", "-2"), ("--n-subjects", "0"), ("--duration-s", "nan"),
         ("--duration-s", "inf"), ("--duration-s", "-5"), ("--duration-s", "0.5"),
-        ("--test-fraction", "1.5"), ("--test-fraction", "0"), ("--test-fraction", "nan")])
+        ("--test-fraction", "1.5"), ("--test-fraction", "0"), ("--test-fraction", "nan"),
+        ("--seed", "-1")])
     def test_bad_synth_cohort_is_config_error(self, tmp_path, monkeypatch, capfd,
                                               flag, value):
         code = _run(tmp_path, monkeypatch, [

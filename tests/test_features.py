@@ -341,10 +341,13 @@ class TestAssemble:
         fv = F.assemble(_window(with_bvp=False), F.SCHEMA_PRESETS["stress_14"])
         assert len(fv.values) == 14
 
-    def test_missing_required_modality(self):
+    @pytest.mark.parametrize("channel, feature", [
+        ("TEMP", "temp_mean"), ("ACC_Y", "acc_x_mean")])
+    def test_missing_required_modality(self, channel, feature):
         w = _window()
-        del w.samples["TEMP"]
-        with pytest.raises(MissingRequiredModality):
+        del w.samples[channel]
+        with pytest.raises(MissingRequiredModality,
+                           match=f"{feature} needs channel {channel}"):
             F.assemble(w, F.SCHEMA_PRESETS["stress_16"])
 
     def test_optional_hrv_marked_absent(self):
@@ -375,6 +378,62 @@ class TestAssemble:
                      "acc_y_mean", "acc_y_std", "acc_z_mean", "acc_z_std"):
             i = names.index(feat)
             assert abs(fv3.values[i] - fv1.values[i]) < 1e-9
+
+
+    @pytest.mark.parametrize("schema, function, window", [
+        ("cogload_16", "detect_bvp_peaks", dict(ibi=(0.8, 0.85, 0.8))),
+        ("stress_16", "hrv_metrics", dict(ibi=(0.8,))),
+    ], ids=["flat-bvp", "one-beat-ibi"])
+    def test_family_that_raises_is_computed_once(self, monkeypatch, schema,
+                                                 function, window):
+        w = _window(**window)
+        w.samples["BVP"] = np.zeros_like(w.samples["BVP"])
+        calls = []
+        original = getattr(F, function)
+        monkeypatch.setattr(F, function,
+                            lambda *a, **k: calls.append(1) or original(*a, **k))
+        fv = F.assemble(w, F.SCHEMA_PRESETS[schema])
+        assert len(calls) == 1
+        assert np.isnan(fv.values).sum() == 2
+
+
+#: Every feature as (name, modality, unit, optional), in registry order.
+FEATURE_GOLDEN = [
+    ("eda_mean", "EDA", "z", False), ("eda_std", "EDA", "z", False),
+    ("eda_slope", "EDA", "z/s", False), ("eda_scr_count", "EDA", "count", False),
+    ("temp_mean", "TEMP", "z", False), ("temp_std", "TEMP", "z", False),
+    ("hr_mean", "HR", "z", False), ("hr_std", "HR", "z", False),
+    ("sdnn", "HR", "s", True), ("rmssd", "HR", "s", True),
+    ("bvp_sdnn", "HRV", "s", True), ("bvp_rmssd", "HRV", "s", True),
+    ("bvp_amp", "BVP", "z", False), ("bvp_energy", "BVP", "z^2", False),
+    ("acc_x_mean", "ACC", "g", False), ("acc_x_std", "ACC", "g", False),
+    ("acc_y_mean", "ACC", "g", False), ("acc_y_std", "ACC", "g", False),
+    ("acc_z_mean", "ACC", "g", False), ("acc_z_std", "ACC", "g", False),
+]
+
+_EDA = ["eda_mean", "eda_std", "eda_slope", "eda_scr_count"]
+_TEMP = ["temp_mean", "temp_std"]
+_ACC = ["acc_x_mean", "acc_x_std", "acc_y_mean", "acc_y_std", "acc_z_mean", "acc_z_std"]
+
+PRESET_GOLDEN = {
+    "stress_14": _EDA + _TEMP + ["sdnn", "rmssd"] + _ACC,
+    "stress_16": _EDA + _TEMP + ["hr_mean", "hr_std", "sdnn", "rmssd"] + _ACC,
+    "exam_18": _EDA + _TEMP + ["hr_mean", "hr_std", "sdnn", "rmssd"] + _ACC
+    + ["bvp_amp", "bvp_energy"],
+    "cogload_16": _EDA + _TEMP + ["bvp_sdnn", "bvp_rmssd"] + _ACC
+    + ["bvp_amp", "bvp_energy"],
+}
+
+
+class TestRegistry:
+    def test_feature_defs_golden(self):
+        got = [(f.name, f.modality, f.unit, f.optional) for f in F.FEATURE_DEFS.values()]
+        assert got == FEATURE_GOLDEN
+        assert all(name == f.name for name, f in F.FEATURE_DEFS.items())
+
+    def test_preset_names_golden(self):
+        assert {name: s.names for name, s in F.SCHEMA_PRESETS.items()} == PRESET_GOLDEN
+        assert all(s.name == name for name, s in F.SCHEMA_PRESETS.items())
 
 
 class TestSchema:

@@ -6,7 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from physio_bench.errors import KTooLarge, SchemaMismatch, SingleClass
+from physio_bench.errors import (
+    ConfigError,
+    KExceedsSubjects,
+    KTooLarge,
+    SchemaMismatch,
+    SingleClass,
+)
 from physio_bench.models import (
     DataMatrix,
     TrainConfig,
@@ -696,13 +702,32 @@ class TestSerialization:
         ("{not json", "not JSON"),
         ("[1, 2]", "JSON object"),
         ('{"model_kind": "tree_ensemble"}', "lacks the field"),
-    ], ids=["not-json", "not-object", "missing-field"])
+        ('{"model_kind": "logistic", "classes": ["a", "b"], "feature_names": ["f"],'
+         ' "bias": [0, 0], "stats": 3, "weights": 1}', "malformed field"),
+        ('{"model_kind": "logistic", "classes": ["a", "b"], "feature_names": ["f"],'
+         ' "bias": [0, 0], "stats": {"impute": [0], "mean": [0], "std": [1]},'
+         ' "weights": [["q"]]}', "malformed field"),
+    ], ids=["not-json", "not-object", "missing-field", "wrong-type", "wrong-value"])
     def test_malformed_json_is_schema_mismatch(self, text, message):
         with pytest.raises(SchemaMismatch, match=message):
             model_from_json(text)
 
 
 class TestTuning:
+    @pytest.mark.parametrize("folds", [0, 1])
+    def test_fewer_than_two_folds_is_a_folds_error(self, folds):
+        data = _blobs(n=40, gap=1.0, seed=18)
+        cfg = TrainConfig(kind="logistic", grid={"l2": [1.0]}, cv_folds=folds)
+        with pytest.raises(KExceedsSubjects, match="k must be >= 2"):
+            tune_model(data, cfg)
+
+    def test_one_subject_is_a_subjects_error(self):
+        data = _blobs(n=40, gap=1.0, seed=18)
+        data.groups[:] = "s0"
+        cfg = TrainConfig(kind="logistic", grid={"l2": [1.0]}, cv_folds=3)
+        with pytest.raises(ConfigError, match="at least 2 subjects"):
+            tune_model(data, cfg)
+
     def test_grid_search_runs_and_is_deterministic(self):
         data = _blobs(n=60, gap=1.0, seed=17)
         cfg = TrainConfig(kind="logistic", grid={"l2": [0.1, 1.0]}, cv_folds=3)
