@@ -18,7 +18,7 @@ import os
 import sys
 import types
 import typing
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +161,22 @@ class RunConfig:
         return {"config": doc, "seed": self.seed}
 
 
+#: Each RunConfig field's type, for its flag and its config-document value.
+_FIELD_TYPES = typing.get_type_hints(RunConfig)
+
+
+def _fits(value, hint) -> bool:
+    """Whether a config value has the type of its RunConfig field: an int
+    also fits a float, None only an `X | None`, and a bool no number."""
+    if isinstance(hint, types.UnionType):
+        return any(_fits(value, t) for t in typing.get_args(hint))
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_fits(v, *typing.get_args(hint)) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
 def load_config(path: str | None, overrides: dict) -> RunConfig:
     doc = {}
     if path is not None:
@@ -170,15 +186,17 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
             raise ConfigError(f"config file not found: {path}") from None
         except json.JSONDecodeError as e:
             raise ConfigError(f"config file is not valid JSON: {e}") from None
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(doc) - known
+        if not isinstance(doc, dict):
+            raise ConfigError("config file must hold a JSON object")
+    unknown = set(doc) - set(_FIELD_TYPES)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     doc.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        return RunConfig(**doc)
-    except TypeError as e:
-        raise ConfigError(str(e)) from None
+    for key, value in doc.items():
+        if not _fits(value, _FIELD_TYPES[key]):
+            expected = getattr(_FIELD_TYPES[key], "__name__", _FIELD_TYPES[key])
+            raise ConfigError(f"config field {key} must be {expected}, got {value!r}")
+    return RunConfig(**doc)
 
 
 def setup_logging() -> None:
@@ -382,7 +400,6 @@ def _flag_type(hint):
 def build_parser() -> argparse.ArgumentParser:
     """One subparser per command; each takes --config and one flag per
     RunConfig field, named after it with '_' as '-'."""
-    hints = typing.get_type_hints(RunConfig)
     parser = argparse.ArgumentParser(
         prog="physio-bench",
         description="Wearable physiology pipeline: ingestion, features, "
@@ -392,9 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config document")
-        for f in fields(RunConfig):
-            flag = "--" + f.name.replace("_", "-")
-            kind = _flag_type(hints[f.name])
+        for field_name, hint in _FIELD_TYPES.items():
+            flag = "--" + field_name.replace("_", "-")
+            kind = _flag_type(hint)
             if kind is bool:
                 p.add_argument(flag, action="store_const", const=True)
             else:

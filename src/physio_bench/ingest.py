@@ -1,10 +1,10 @@
 """Empatica-E4 session parsing and dataset manifests.
 
-On-disk convention per session directory: ``EDA.csv``, ``TEMP.csv``,
-``HR.csv``, ``BVP.csv`` are single-channel files whose first line is the
-start epoch, second line the sampling rate, and remaining lines one sample
-each. ``ACC.csv`` carries three comma-separated columns with a matching
-two-line header, raw counts scaled to g by dividing by 64. ``IBI.csv``
+`MODALITY_CHANNELS` is the session layout: ``<modality>.csv`` holds that
+modality's channels as columns. A single-channel file's first line is the
+start epoch, its second line the sampling rate, and each further line one
+sample. ``ACC.csv`` carries the three axes under a matching two-line
+header, raw counts scaled to g by dividing by 64. ``IBI.csv``
 lists ``offset_seconds,duration_seconds`` beat events after a header line
 whose first field is the start epoch.
 
@@ -35,9 +35,7 @@ from .errors import (
     RaggedRow,
 )
 
-CHANNELS = ("EDA", "TEMP", "HR", "BVP", "ACC_X", "ACC_Y", "ACC_Z")
-
-#: Channels that make up each logical modality.
+#: The session layout: each modality's file and its channels, in column order.
 MODALITY_CHANNELS = {
     "EDA": ("EDA",),
     "TEMP": ("TEMP",),
@@ -45,6 +43,8 @@ MODALITY_CHANNELS = {
     "BVP": ("BVP",),
     "ACC": ("ACC_X", "ACC_Y", "ACC_Z"),
 }
+
+CHANNELS = tuple(ch for names in MODALITY_CHANNELS.values() for ch in names)
 
 #: E4 accelerometer raw counts per g.
 ACC_COUNTS_PER_G = 64.0
@@ -376,32 +376,22 @@ def load_session(dir_path: str | Path, entry: ManifestEntry) -> Recording:
     screening = {name: ChannelScreen() for name in CHANNELS}
     screening["IBI"] = ChannelScreen()
 
-    for name in ("EDA", "TEMP", "HR", "BVP"):
-        f = dir_path / f"{name}.csv"
+    for modality, names in MODALITY_CHANNELS.items():
+        f = dir_path / f"{modality}.csv"
         if not f.is_file():
             continue
-        screening[name].present = True
+        for name in names:
+            screening[name].present = True
+        data = f.read_bytes()
         try:
-            series = parse_channel(f.read_bytes())
+            parsed = (parse_channel(data),) if len(names) == 1 else parse_acc(data)
         except EmptyStream:
-            screening[name].empty = True
+            for name in names:
+                screening[name].empty = True
             continue
-        channels[name] = series
-        screening[name].n_samples = len(series)
-
-    acc_file = dir_path / "ACC.csv"
-    if acc_file.is_file():
-        for axis in ("ACC_X", "ACC_Y", "ACC_Z"):
-            screening[axis].present = True
-        try:
-            sx, sy, sz = parse_acc(acc_file.read_bytes())
-        except EmptyStream:
-            for axis in ("ACC_X", "ACC_Y", "ACC_Z"):
-                screening[axis].empty = True
-        else:
-            for axis, series in zip(("ACC_X", "ACC_Y", "ACC_Z"), (sx, sy, sz)):
-                channels[axis] = series
-                screening[axis].n_samples = len(series)
+        for name, series in zip(names, parsed):
+            channels[name] = series
+            screening[name].n_samples = len(series)
 
     ibi = None
     ibi_dropped = 0
@@ -474,15 +464,14 @@ def write_ibi(ibi: EventSeries) -> str:
 
 
 def write_session(dir_path: str | Path, rec: Recording) -> None:
-    """Write a Recording as an E4 session directory (full-precision floats)."""
+    """Write a Recording as an E4 session directory (full-precision floats):
+    one file per modality whose channels are all present."""
     dir_path = Path(dir_path)
     os.makedirs(dir_path, exist_ok=True)
-    for name in ("EDA", "TEMP", "HR", "BVP"):
-        if name in rec.channels:
-            (dir_path / f"{name}.csv").write_text(write_channel(rec.channels[name]))
-    if all(a in rec.channels for a in ("ACC_X", "ACC_Y", "ACC_Z")):
-        (dir_path / "ACC.csv").write_text(
-            write_acc(rec.channels["ACC_X"], rec.channels["ACC_Y"], rec.channels["ACC_Z"])
-        )
+    for modality, names in MODALITY_CHANNELS.items():
+        if all(name in rec.channels for name in names):
+            series = [rec.channels[name] for name in names]
+            text = write_channel(*series) if len(names) == 1 else write_acc(*series)
+            (dir_path / f"{modality}.csv").write_text(text)
     if rec.ibi is not None:
         (dir_path / "IBI.csv").write_text(write_ibi(rec.ibi))

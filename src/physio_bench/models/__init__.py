@@ -18,7 +18,7 @@ __all__ = [
     "KnnModel", "LogisticModel", "SvmModel", "Tree", "TreeEnsembleModel",
     "train_knn", "train_logistic", "train_svm_rbf", "train_tree_ensemble",
     "rbf_kernel", "rbf_matrix", "median_pairwise_distance",
-    "train_model", "tune_model", "predict_proba", "predict_class",
+    "train_model", "tune_model", "predict_proba",
     "model_to_json", "model_from_json", "default_grid",
 ]
 
@@ -50,10 +50,6 @@ def predict_proba(model, X: np.ndarray) -> np.ndarray:
     return model.predict_proba(X)
 
 
-def predict_class(model, X: np.ndarray) -> np.ndarray:
-    return model.predict_class(X)
-
-
 def model_to_json(model) -> str:
     doc = model.to_dict()
     doc["model_kind"] = model.kind
@@ -63,7 +59,8 @@ def model_to_json(model) -> str:
 def model_from_json(text: str):
     """The model a `model.json` text holds; text that is not a JSON
     object of a known kind with all its fields, each of the right shape,
-    raises SchemaMismatch."""
+    raises SchemaMismatch, and so does a model whose arrays do not score
+    an all-zero row with one score per class."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -74,11 +71,16 @@ def model_from_json(text: str):
     if kind not in _MODEL_CLASSES:
         raise SchemaMismatch(f"unknown serialized model kind {kind!r}")
     try:
-        return _MODEL_CLASSES[kind].from_dict(doc)
+        model = _MODEL_CLASSES[kind].from_dict(doc)
+        scores = np.shape(model.predict_scores(np.zeros((1, len(model.feature_names)))))
     except KeyError as e:
         raise SchemaMismatch(f"{kind} model file lacks the field {e}") from None
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, IndexError) as e:
         raise SchemaMismatch(f"{kind} model file has a malformed field: {e}") from None
+    if scores != (1, len(model.classes)):
+        raise SchemaMismatch(f"{kind} model file scores one row with shape "
+                             f"{scores}, not (1, {len(model.classes)})")
+    return model
 
 
 # --- hyperparameter tuning ----------------------------------------------------

@@ -16,6 +16,9 @@ Volterra-style response w1*zE + w2*zH + w3*zT + w4*zA + w5*zE*zH +
 w6*zA^2 over per-block latent intensities, which makes the interaction-
 dominant preset a continuous XOR analogue that linear models cannot
 separate.
+
+The HR forcing offset, EDA level and input shift, TEMP target and ACC
+amplitude each follow a block schedule, one value per `block_s` block.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ArityMismatch, BlowUp, ConfigError, UnknownClass
-from .ingest import EventSeries, LabelSegment, Recording, SampledSeries
+from .ingest import CHANNELS, EventSeries, LabelSegment, Recording, SampledSeries
 
 RATE_EDA = 4.0
 RATE_TEMP = 4.0
@@ -129,9 +132,20 @@ def volterra_response(z, coeffs: VolterraCoeffs) -> float:
 # --- channel simulators -------------------------------------------------------
 
 
+def _block_values(schedule, block_s: float, t: np.ndarray) -> np.ndarray:
+    """The schedule's value in force at each time t: that of block
+    int(t / block_s), held at the last value past the end, and zeros when
+    there is no schedule (None or empty)."""
+    if schedule is None or len(schedule) == 0:
+        return np.zeros(len(t))
+    block = np.minimum((t / block_s).astype(np.int64), len(schedule) - 1)
+    return np.asarray(schedule, dtype=np.float64)[block]
+
+
 def _integrate_hr(params: SynthParams, duration_s: float, seed: int,
-                  offsets: np.ndarray, block_s: float) -> np.ndarray:
-    """RK4 integration of the oscillator, sampled at 1 Hz (state x)."""
+                  offsets: np.ndarray | None, block_s: float) -> np.ndarray:
+    """RK4 integration of the oscillator, sampled at 1 Hz (state x), under
+    the forcing gamma * (drive(t) + the block offset in force at t)."""
     rng = np.random.default_rng([seed, 1])
     phase = float(rng.uniform(0.0, 2.0 * math.pi))
     a0, a1, b0, b1 = params.hr_a0, params.hr_a1, params.hr_b0, params.hr_b1
@@ -140,8 +154,6 @@ def _integrate_hr(params: SynthParams, duration_s: float, seed: int,
     two_pi_f = 2.0 * math.pi * freq
     n_steps = int(round(duration_s / dt))
     n_out = int(duration_s)
-    offs = offsets if len(offsets) else np.zeros(1)
-    last = len(offs) - 1
     half_dt = 0.5 * dt
     sixth_dt = dt / 6.0
 
@@ -153,8 +165,7 @@ def _integrate_hr(params: SynthParams, duration_s: float, seed: int,
 
     def forcing(ts: np.ndarray) -> list[float]:
         drive = np.array(list(map(math.sin, (two_pi_f * ts + phase).tolist())))
-        block = np.minimum((ts / block_s).astype(np.int64), last)
-        return (gamma * (amp * drive + offs[block])).tolist()
+        return (gamma * (amp * drive + _block_values(offsets, block_s, ts))).tolist()
 
     F1, F23, F4 = forcing(t), forcing(t + half_dt), forcing(t + dt)
     # Sample k is the state at the first step with t + 1e-9 >= k, taken at
@@ -202,12 +213,12 @@ def _integrate_hr(params: SynthParams, duration_s: float, seed: int,
 def simulate_hr(params: SynthParams, duration_s: float, seed: int,
                 offsets: np.ndarray | None = None, block_s: float = math.inf,
                 start_epoch: float = 0.0) -> SampledSeries:
-    """Heart rate at 1 Hz: oscillator state mapped into a bpm band."""
+    """Heart rate at 1 Hz: oscillator state mapped into a bpm band. The
+    forcing's offset follows the block schedule `offsets`."""
     if duration_s < 1:
         raise BlowUp("duration must be >= 1 s")
     if not block_s > 0:
         raise BlowUp("block length must be > 0 s")
-    offsets = np.asarray(offsets if offsets is not None else [0.0], dtype=np.float64)
     x = _integrate_hr(params, duration_s, seed, offsets, block_s)
     bpm = params.hr_base_bpm + params.hr_span_bpm * x
     if params.hr_noise > 0:
@@ -222,22 +233,14 @@ def simulate_eda_detailed(params: SynthParams, duration_s: float, seed: int,
                           block_s: float = math.inf,
                           start_epoch: float = 0.0,
                           ) -> tuple[SampledSeries, np.ndarray, np.ndarray]:
-    """EDA trace plus its burst onset times and the tonic component."""
+    """EDA trace plus its burst onset times and the tonic component. The
+    tonic level and the OU input's mean follow the block schedules
+    `level_offsets` and `u_shifts`."""
     rng = np.random.default_rng([seed, 3])
     n = int(round(duration_s * RATE_EDA))
     t = np.arange(n) / RATE_EDA
-    if math.isfinite(block_s):
-        blocks = (t / block_s).astype(np.int64)
-    else:
-        blocks = np.zeros(n, dtype=np.int64)
-    levels = np.zeros(n)
-    shifts = np.zeros(n)
-    if level_offsets is not None and len(level_offsets):
-        idx = np.minimum(blocks, len(level_offsets) - 1)
-        levels = np.asarray(level_offsets, dtype=np.float64)[idx]
-    if u_shifts is not None and len(u_shifts):
-        idx = np.minimum(blocks, len(u_shifts) - 1)
-        shifts = np.asarray(u_shifts, dtype=np.float64)[idx]
+    levels = _block_values(level_offsets, block_s, t)
+    shifts = _block_values(u_shifts, block_s, t)
 
     # latent OU input driving threshold crossings
     dt = 1.0 / RATE_EDA
@@ -274,23 +277,18 @@ def simulate_temp(params: SynthParams, duration_s: float, seed: int,
                   target_offsets: np.ndarray | None = None,
                   block_s: float = math.inf,
                   start_epoch: float = 0.0) -> SampledSeries:
-    """First-order relaxation toward a (possibly per-block) target."""
+    """First-order relaxation toward temp_base plus the block schedule
+    `target_offsets`."""
     rng = np.random.default_rng([seed, 4])
     n = int(round(duration_s * RATE_TEMP))
     t = np.arange(n) / RATE_TEMP
     dt = 1.0 / RATE_TEMP
     T = params.temp_base
-    offs = np.asarray(target_offsets if target_offsets is not None else [0.0],
-                      dtype=np.float64)
+    targets = params.temp_base + _block_values(target_offsets, block_s, t)
     # Python floats, not numpy scalars: the same IEEE results, faster
-    last = len(offs) - 1
-    offs = offs.tolist()
-    finite = math.isfinite(block_s)
-    base, tau = params.temp_base, params.temp_tau
+    tau = params.temp_tau
     temps = []
-    for tk in t.tolist():
-        b = min(int(tk / block_s), last) if finite else 0
-        target = base + offs[b]
+    for target in targets.tolist():
         T = T + (target - T) * dt / tau
         temps.append(T)
     temps = np.array(temps, dtype=np.float64)
@@ -339,12 +337,12 @@ def simulate_acc(params: SynthParams, acc_class: str, duration_s: float, seed: i
 
 def _acc_intensity(params: SynthParams, z: np.ndarray, duration_s: float,
                    seed: int, block_s: float, start_epoch: float):
-    """Threshold-mode motion: per-block sinusoid amplitude follows z."""
+    """Threshold-mode motion: the sinusoid amplitude follows the block
+    schedule z."""
     rng = np.random.default_rng([seed, 5])
     n = int(round(duration_s * RATE_ACC))
     t = np.arange(n) / RATE_ACC
-    idx = np.minimum((t / block_s).astype(np.int64), len(z) - 1)
-    amp = params.acc_amp * (1.0 + 0.8 * np.asarray(z, dtype=np.float64)[idx])
+    amp = params.acc_amp * (1.0 + 0.8 * _block_values(z, block_s, t))
     phase = rng.uniform(0, 2 * math.pi, size=3)
     xyz = np.tile(np.array([0.0, 0.0, 1.0]), (n, 1))
     xyz += rng.normal(scale=params.acc_noise, size=(n, 3))
@@ -518,15 +516,7 @@ def generate_session(spec: SessionSpec, coeffs: VolterraCoeffs | None,
             else spec.start_epoch + duration
         segments.append(LabelSegment(label, t0, t1))
 
-    channels = {
-        "EDA": eda,
-        "TEMP": temp,
-        "HR": hr,
-        "BVP": bvp,
-        "ACC_X": acc_series[0],
-        "ACC_Y": acc_series[1],
-        "ACC_Z": acc_series[2],
-    }
+    channels = dict(zip(CHANNELS, (eda, temp, hr, bvp, *acc_series)))
     sid = subject_id if subject_id is not None else f"S{seed:03d}"
     return Recording(subject_id=sid, channels=channels, ibi=ibi,
                      segments=segments, screening={})

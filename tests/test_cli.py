@@ -358,6 +358,44 @@ class TestConfigHandling:
         doc = json.loads(capfd.readouterr().err.strip().splitlines()[-1])
         assert "shiny" in doc["error"]["message"]
 
+    @pytest.mark.parametrize("doc, message", [
+        (5, "JSON object"), ([1, 2], "JSON object"), ("cfg", "JSON object"),
+        ({"trees": 2.5}, "trees"), ({"trees": "3"}, "trees"),
+        ({"learning_rate": "0.1"}, "learning_rate"), ({"seed": None}, "seed"),
+        ({"seed": True}, "seed"), ({"tune": 1}, "tune"),
+        ({"required": "EDA"}, "required"), ({"required": ["EDA", 3]}, "required"),
+        ({"schema": 16}, "schema"),
+    ])
+    def test_wrongly_typed_config_is_config_error(self, tmp_path, monkeypatch, capfd,
+                                                   doc, message):
+        _feature_csv(tmp_path / "t.csv", "stress_16")
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        code = _run(tmp_path, monkeypatch, [
+            "evaluate", "--config", "cfg.json", "--features", "t.csv", "--out", "run"])
+        assert code == 2
+        err = _error(capfd)
+        assert err["type"] == "ConfigError"
+        assert message in err["message"]
+        assert not (tmp_path / "run").exists()
+
+    def test_wrongly_typed_window_is_config_error(self, synth_data, tmp_path,
+                                                  monkeypatch, capfd):
+        (tmp_path / "cfg.json").write_text(json.dumps({"window_s": "abc"}))
+        code = _run(tmp_path, monkeypatch, [
+            "extract", "--config", "cfg.json", "--manifest", "data/manifest.json",
+            "--out", "run"])
+        assert code == 2
+        assert "window_s" in _error(capfd)["message"]
+
+    def test_config_values_reach_the_config_as_written(self, tmp_path):
+        doc = {"learning_rate": 1, "window_s": 20, "svm_sigma": None, "trees": 4,
+               "required": ["EDA", "HR"], "tune": False}
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        cfg = load_config(str(tmp_path / "cfg.json"), {})
+        for key, value in doc.items():
+            assert type(getattr(cfg, key)) is type(value)
+            assert getattr(cfg, key) == value
+
     def test_provenance_excludes_execution_fields(self, synth_data, tmp_path,
                                                   monkeypatch):
         _run(tmp_path, monkeypatch, [

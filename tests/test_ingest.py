@@ -270,6 +270,20 @@ class TestLoadSession:
         assert rec.ibi is None
         assert not rec.screening["IBI"].present
 
+    def test_header_only_and_missing_files_screened(self, tmp_path):
+        _write_session_files(tmp_path)
+        (tmp_path / "ACC.csv").write_text("1000.0,1000.0,1000.0\n32,32,32\n")
+        (tmp_path / "TEMP.csv").write_text("1000.0\n4.0\n")
+        (tmp_path / "HR.csv").unlink()
+        rec = ingest.load_session(tmp_path, ingest.ManifestEntry("s1", ".", []))
+        assert list(rec.screening) == [*ingest.CHANNELS, "IBI"]
+        for name in ("TEMP", "ACC_X", "ACC_Y", "ACC_Z"):
+            assert rec.screening[name] == ingest.ChannelScreen(present=True, empty=True)
+        assert rec.screening["HR"] == ingest.ChannelScreen()
+        assert rec.screening["EDA"].present and rec.screening["EDA"].n_samples == 240
+        assert rec.screening["BVP"].present and rec.screening["BVP"].n_samples == 3840
+        assert list(rec.channels) == ["EDA", "BVP"]
+
     def test_segment_before_recording_is_mismatch(self, tmp_path):
         _write_session_files(tmp_path)
         entry = ingest.ManifestEntry("s1", ".", [
@@ -365,6 +379,25 @@ class TestRoundTrip:
         back = ingest.parse_acc(text)
         for orig, rt in zip(series, back):
             assert np.array_equal(rt.values, orig.values)
+
+    def test_session_round_trip_writes_only_whole_modalities(self, tmp_path):
+        rng = np.random.default_rng(8)
+        channels = {
+            name: ingest.SampledSeries(1000.0 + i, rate, rng.normal(size=size))
+            for i, (name, rate, size) in enumerate([
+                ("EDA", 4.0, 40), ("TEMP", 4.0, 40), ("BVP", 64.0, 640),
+                ("ACC_X", 32.0, 320)])
+        }
+        ingest.write_session(tmp_path, ingest.Recording("s1", channels, None, []))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "BVP.csv", "EDA.csv", "TEMP.csv"]
+        back = ingest.load_session(tmp_path, ingest.ManifestEntry("s1", ".", []))
+        assert list(back.channels) == ["EDA", "TEMP", "BVP"]
+        for name, series in back.channels.items():
+            assert series.start_epoch == channels[name].start_epoch
+            assert series.rate_hz == channels[name].rate_hz
+            assert series.values.tobytes() == channels[name].values.tobytes()
+        assert back.ibi is None
 
     def test_ibi_round_trip_bit_exact(self):
         rng = np.random.default_rng(7)

@@ -707,7 +707,18 @@ class TestSerialization:
         ('{"model_kind": "logistic", "classes": ["a", "b"], "feature_names": ["f"],'
          ' "bias": [0, 0], "stats": {"impute": [0], "mean": [0], "std": [1]},'
          ' "weights": [["q"]]}', "malformed field"),
-    ], ids=["not-json", "not-object", "missing-field", "wrong-type", "wrong-value"])
+        ('{"model_kind": "logistic", "classes": ["a", "b"], "feature_names": ["f"],'
+         ' "bias": [0, 0], "stats": {"impute": [0], "mean": [0], "std": [1]},'
+         ' "weights": 1}', "malformed field"),
+        ('{"model_kind": "logistic", "classes": ["a", "b"], "feature_names": ["f"],'
+         ' "bias": [0, 0], "stats": {"impute": [0], "mean": [0], "std": [1]},'
+         ' "weights": [[1.0, 2.0]]}', "malformed field"),
+        ('{"model_kind": "tree_ensemble", "mode": "boosting", "classes": ["a", "b"],'
+         ' "feature_names": ["f"], "trees": [], "tree_class": [], "learning_rate": 0.1,'
+         ' "base_score": [0, 0, 0, 0, 0],'
+         ' "stats": {"impute": [0], "mean": [0], "std": [1]}}', r"shape \(1, 5\), not \(1, 2\)"),
+    ], ids=["not-json", "not-object", "missing-field", "wrong-type", "wrong-value",
+            "scalar-weights", "weights-too-wide", "base-score-too-long"])
     def test_malformed_json_is_schema_mismatch(self, text, message):
         with pytest.raises(SchemaMismatch, match=message):
             model_from_json(text)

@@ -158,6 +158,90 @@ class TestIntegratorOracle:
             synth.simulate_hr(_params(), 130.0, 8, self.OFFSETS, block_s)
 
 
+def _per_sample_schedule(values, block_s, t):
+    """Reference lookup: the value of block int(t / block_s) at each time,
+    held at the last value past the end."""
+    last = len(values) - 1
+    return np.array([values[min(int(tk / block_s), last)] for tk in t.tolist()])
+
+
+class TestBlockScheduleOracle:
+    """The per-block TEMP targets, EDA levels and shifts, and ACC amplitude
+    against a per-sample lookup, bit for bit."""
+
+    SCHEDULE = np.array([0.0, 0.6, -0.4, 0.25])
+    DURATION = 130.7
+
+    @pytest.mark.parametrize("block_s", [60.0, 7.3, math.inf])
+    def test_temp_targets(self, block_s):
+        p = _params(temp_noise=0.0)
+        actual = synth.simulate_temp(p, self.DURATION, 8, self.SCHEDULE, block_s).values
+        t = np.arange(int(round(self.DURATION * synth.RATE_TEMP))) / synth.RATE_TEMP
+        dt = 1.0 / synth.RATE_TEMP
+        T, expected = p.temp_base, []
+        for off in _per_sample_schedule(self.SCHEDULE, block_s, t).tolist():
+            T = T + (p.temp_base + off - T) * dt / p.temp_tau
+            expected.append(T)
+        assert actual.tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("block_s", [60.0, 7.3, math.inf])
+    def test_eda_levels_and_shifts(self, block_s):
+        p = _params()
+        levels, shifts = 0.5 * self.SCHEDULE, 2.0 * self.SCHEDULE[::-1]
+        _, bursts, tonic = synth.simulate_eda_detailed(
+            p, self.DURATION, 8, levels, shifts, block_s)
+        n = int(round(self.DURATION * synth.RATE_EDA))
+        t = np.arange(n) / synth.RATE_EDA
+        dt = 1.0 / synth.RATE_EDA
+        expected_tonic = (p.eda_tonic_base + p.eda_tonic_drift * t
+                          + _per_sample_schedule(levels, block_s, t))
+        noise = np.random.default_rng([8, 3]).normal(
+            scale=p.ou_sigma * math.sqrt(dt), size=n)
+        u, u_prev = [], p.ou_mean
+        for shift, eps in zip(_per_sample_schedule(shifts, block_s, t).tolist(),
+                              noise.tolist()):
+            u_prev = u_prev + p.ou_rate * (p.ou_mean + shift - u_prev) * dt + eps
+            u.append(u_prev)
+        above = np.array(u) > p.eda_theta
+        expected_bursts = t[np.flatnonzero(above[1:] & ~above[:-1]) + 1]
+        assert tonic.tobytes() == expected_tonic.tobytes()
+        assert len(bursts) > 0
+        assert bursts.tobytes() == expected_bursts.tobytes()
+
+    @pytest.mark.parametrize("block_s", [60.0, 7.3, math.inf])
+    def test_acc_amplitude(self, block_s):
+        p = _params()
+        actual = synth._acc_intensity(p, self.SCHEDULE, self.DURATION, 8, block_s, 0.0)
+        n = int(round(self.DURATION * synth.RATE_ACC))
+        t = np.arange(n) / synth.RATE_ACC
+        amp = p.acc_amp * (1.0 + 0.8 * _per_sample_schedule(self.SCHEDULE, block_s, t))
+        rng = np.random.default_rng([8, 5])
+        phase = rng.uniform(0, 2 * math.pi, size=3)
+        xyz = np.tile(np.array([0.0, 0.0, 1.0]), (n, 1))
+        xyz += rng.normal(scale=p.acc_noise, size=(n, 3))
+        for j, axis in enumerate(actual):
+            expected = xyz[:, j] + amp * (0.4 + 0.6 * (j == 0)) * np.sin(
+                2 * math.pi * p.acc_cadence_hz * t + phase[j])
+            assert axis.values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("block_s", [7.3, math.inf])
+    def test_missing_empty_and_zero_schedules_agree(self, block_s):
+        p = _params()
+
+        def outputs(schedule):
+            eda, bursts, tonic = synth.simulate_eda_detailed(
+                p, 60.0, 8, schedule, schedule, block_s)
+            series = [synth.simulate_hr(p, 60.0, 8, schedule, block_s), eda,
+                      synth.simulate_temp(p, 60.0, 8, schedule, block_s),
+                      *synth._acc_intensity(p, schedule, 60.0, 8, block_s, 0.0)]
+            return [s.values.tobytes() for s in series] + [bursts.tobytes(),
+                                                           tonic.tobytes()]
+
+        none = outputs(None)
+        assert outputs(np.array([])) == none
+        assert outputs(np.zeros(3)) == none
+
+
 class TestSimulateEda:
     def test_subthreshold_input_gives_pure_tonic(self):
         p = _params(eda_theta=50.0)  # unreachable threshold
