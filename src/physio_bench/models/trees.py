@@ -71,6 +71,19 @@ class Tree(Codec):
     value: np.ndarray                    # (n_nodes, n_out) leaf payload (zeros inside)
     cover: np.ndarray                    # (n_nodes,) training rows through the node
 
+    @classmethod
+    def from_dict(cls, d: dict) -> "Tree":
+        """A stored tree; an inner node whose children are not later nodes
+        of the tree raises SchemaMismatch, since `_route` would never reach
+        a leaf and `expected_value` reads children before parents."""
+        tree = super().from_dict(d)
+        first = np.minimum(tree.left, tree.right)
+        last = np.maximum(tree.left, tree.right)
+        inner = tree.feature != LEAF
+        if (inner & ((first <= np.arange(tree.n_nodes)) | (last >= tree.n_nodes))).any():
+            raise SchemaMismatch("a tree node's child must be a later node of the tree")
+        return tree
+
     @property
     def n_nodes(self) -> int:
         return len(self.feature)

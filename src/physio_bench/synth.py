@@ -135,7 +135,10 @@ def volterra_response(z, coeffs: VolterraCoeffs) -> float:
 def _block_values(schedule, block_s: float, t: np.ndarray) -> np.ndarray:
     """The schedule's value in force at each time t: that of block
     int(t / block_s), held at the last value past the end, and zeros when
-    there is no schedule (None or empty)."""
+    there is no schedule (None or empty). A block length that is not
+    > 0 (NaN included) raises BlowUp."""
+    if not block_s > 0:
+        raise BlowUp("block length must be > 0 s")
     if schedule is None or len(schedule) == 0:
         return np.zeros(len(t))
     block = np.minimum((t / block_s).astype(np.int64), len(schedule) - 1)
@@ -217,8 +220,6 @@ def simulate_hr(params: SynthParams, duration_s: float, seed: int,
     forcing's offset follows the block schedule `offsets`."""
     if duration_s < 1:
         raise BlowUp("duration must be >= 1 s")
-    if not block_s > 0:
-        raise BlowUp("block length must be > 0 s")
     x = _integrate_hr(params, duration_s, seed, offsets, block_s)
     bpm = params.hr_base_bpm + params.hr_span_bpm * x
     if params.hr_noise > 0:

@@ -1,5 +1,6 @@
 """Model trainers: separability canaries, oracles, invariants, round-trips."""
 
+import itertools
 import json
 import math
 
@@ -25,10 +26,11 @@ from physio_bench.models import (
     train_tree_ensemble,
     tune_model,
     rbf_kernel,
+    rbf_matrix,
 )
 from physio_bench.models.base import ColumnStats, softmax
 from physio_bench.models.logistic import _loss_grad
-from physio_bench.models import trees
+from physio_bench.models import svm, trees
 from physio_bench.models.trees import LEAF, MIN_GAIN, grow_gini_tree
 
 
@@ -552,6 +554,54 @@ class TestBagging:
         assert np.allclose(probs, [1 / 3, 2 / 3], atol=0.05)
 
 
+def _dual_problem(model, data):
+    """The binary machine's dual variables over all training rows, with
+    the kernel and signed labels they were solved on."""
+    Z = model.stats.transform(data.X)
+    K = rbf_matrix(Z, Z, model.sigma)
+    y = np.where(data.labels == model.classes[1], 1.0, -1.0)
+    machine = model.machines[0]
+    alpha = np.zeros(len(y))
+    for s, c in zip(machine.support, machine.coef):
+        (row,) = np.flatnonzero((Z == s).all(axis=1))
+        alpha[row] = abs(c)
+    return alpha, K, y
+
+
+def _dual_objective(alpha, K, y):
+    return alpha.sum() - 0.5 * (alpha * y) @ K @ (alpha * y)
+
+
+def _brute_force_dual(K, y, C):
+    """Best dual objective over every split of the points into a = 0,
+    0 < a < C and a = C: each split fixes the bounded a and solves the
+    KKT system Q_FF a_F + y_F b = 1 - Q_FB a_B, y_F'a_F = -y_B'a_B for
+    the free a and the bias; a feasible solution is a candidate."""
+    n = len(y)
+    Q = np.outer(y, y) * K
+    best = -np.inf
+    for split in itertools.product((0, 1, 2), repeat=n):
+        split = np.array(split)
+        free, at_c = split == 1, split == 2
+        alpha = np.where(at_c, C, 0.0)
+        if free.any():
+            m = int(free.sum())
+            A = np.zeros((m + 1, m + 1))
+            A[:m, :m] = Q[np.ix_(free, free)]
+            A[:m, m] = A[m, :m] = y[free]
+            rhs = np.append(1.0 - Q[np.ix_(free, at_c)] @ alpha[at_c], -y @ alpha)
+            try:
+                alpha[free] = np.linalg.solve(A, rhs)[:m]
+            except np.linalg.LinAlgError:
+                continue
+            if not ((alpha[free] > 0) & (alpha[free] < C)).all():
+                continue
+        elif abs(y @ alpha) > 1e-12:
+            continue
+        best = max(best, _dual_objective(alpha, K, y))
+    return best
+
+
 class TestSvm:
     def test_rbf_kernel_values(self):
         z = np.array([1.0, 2.0])
@@ -597,6 +647,38 @@ class TestSvm:
         model = train_svm_rbf(data, TrainConfig(kind="svm"))
         assert len(model.machines) == 3
         assert _accuracy(model, data) == 1.0
+
+    def test_dual_objective_matches_brute_force(self):
+        short = {}
+        for seed in range(100):
+            rng = np.random.default_rng([seed, 99])
+            n = int(rng.integers(3, 8))
+            C = float(rng.choice([0.3, 1.0, 3.0, 10.0]))
+            sigma = float(rng.choice([0.5, 1.0, 2.0]))
+            labels = np.array(["a", "b"] * n, dtype=object)[rng.permutation(n)]
+            if len(set(labels)) < 2:
+                labels[0] = "b" if labels[0] == "a" else "a"
+            data = DataMatrix(rng.normal(size=(n, 2)), labels,
+                              np.array([f"s{i}" for i in range(n)], dtype=object),
+                              ["f0", "f1"])
+            model = train_svm_rbf(data, TrainConfig(kind="svm", svm_c=C, svm_sigma=sigma))
+            alpha, K, y = _dual_problem(model, data)
+            assert np.all((alpha >= 0) & (alpha <= C))
+            assert abs(alpha @ y) < 1e-9
+            best = _brute_force_dual(K, y, C)
+            shortfall = best - _dual_objective(alpha, K, y)
+            if abs(shortfall) > 1e-5 * max(1.0, abs(best)):
+                short[seed] = shortfall
+        assert short == {}
+
+    def test_stops_below_the_kkt_gap(self):
+        data = _blobs(n=60, gap=1.0, seed=8)
+        model = train_svm_rbf(data, TrainConfig(kind="svm", svm_c=1.0))
+        alpha, K, y = _dual_problem(model, data)
+        v = -y * (y * (K @ (alpha * y)) - 1.0)   # -y_t G_t, G = Q alpha - 1
+        up = np.where(y > 0, alpha < 1.0, alpha > 0)
+        low = np.where(y > 0, alpha > 0, alpha < 1.0)
+        assert v[up].max() - v[low].min() < svm.KKT_TOL
 
 
 class TestPredictContracts:
@@ -717,8 +799,14 @@ class TestSerialization:
          ' "feature_names": ["f"], "trees": [], "tree_class": [], "learning_rate": 0.1,'
          ' "base_score": [0, 0, 0, 0, 0],'
          ' "stats": {"impute": [0], "mean": [0], "std": [1]}}', r"shape \(1, 5\), not \(1, 2\)"),
+        ('{"model_kind": "tree_ensemble", "mode": "bagging", "classes": ["a", "b"],'
+         ' "feature_names": ["f"], "tree_class": [], "learning_rate": 0.1,'
+         ' "base_score": [0, 0], "stats": {"impute": [0], "mean": [0], "std": [1]},'
+         ' "trees": [{"feature": [0, -1, -1], "threshold": [0, 0, 0],'
+         ' "left": [0, 0, 0], "right": [0, 0, 0], "value": [[0, 0], [1, 0], [0, 1]],'
+         ' "cover": [2, 1, 1]}]}', "child must be a later node"),
     ], ids=["not-json", "not-object", "missing-field", "wrong-type", "wrong-value",
-            "scalar-weights", "weights-too-wide", "base-score-too-long"])
+            "scalar-weights", "weights-too-wide", "base-score-too-long", "child-points-up"])
     def test_malformed_json_is_schema_mismatch(self, text, message):
         with pytest.raises(SchemaMismatch, match=message):
             model_from_json(text)

@@ -242,6 +242,17 @@ class TestBlockScheduleOracle:
         assert outputs(np.zeros(3)) == none
 
 
+    @pytest.mark.parametrize("block_s", [0.0, -30.0, math.nan])
+    @pytest.mark.parametrize("simulate", [
+        lambda p, s, b: synth.simulate_eda_detailed(p, 130.0, 8, s, s, b),
+        lambda p, s, b: synth.simulate_temp(p, 130.0, 8, s, b),
+        lambda p, s, b: synth._acc_intensity(p, s, 130.0, 8, b, 0.0),
+    ], ids=["eda", "temp", "acc"])
+    def test_non_positive_block_length_raises(self, simulate, block_s):
+        with pytest.raises(BlowUp, match="block length"):
+            simulate(_params(), self.SCHEDULE, block_s)
+
+
 class TestSimulateEda:
     def test_subthreshold_input_gives_pure_tonic(self):
         p = _params(eda_theta=50.0)  # unreachable threshold
