@@ -229,9 +229,13 @@ class TrainConfig:
         if self.svm_sigma is not None and not self.svm_sigma > 0:
             raise ConfigError("svm_sigma must be positive")
         # Zero boosting rounds is the prior-only model; a forest needs a tree.
-        min_trees = 1 if self.kind == "bagging" else 0
-        if self.n_trees is not None and self.n_trees < min_trees:
-            raise ConfigError(f"n_trees must be >= {min_trees} for {self.kind}")
+        # Below its least, a tree size would act as another value.
+        for name, least in (("n_trees", 1 if self.kind == "bagging" else 0),
+                            ("max_depth", 0), ("max_leaves", 1),
+                            ("min_samples_leaf", 1), ("n_bins", 2)):
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ConfigError(f"{name} must be >= {least}")
 
     @property
     def resolved_trees(self) -> int:

@@ -9,9 +9,11 @@ probability) and assigns leaves their Newton step, sum(residual) /
 (sum(p(1-p)) + lambda). With two classes the two trees of a round mirror
 each other, so a round grows one logistic tree on class 0's residual and
 stores its mirror, negated leaves on the same structure, for class 1
-(Friedman, Ann. Stat. 2001). Growth is level-wise under a depth limit or
-leaf-wise under a leaf-count limit, with exact or 64-bin histogram split
-search.
+(Friedman, Ann. Stat. 2001). One best-first grower builds every tree,
+splitting the frontier leaf of highest gain next: leaf-wise growth caps
+the leaf count, and level-wise growth is the uncapped case under a depth
+limit (Ke et al., NeurIPS 2017). Trees are stored in preorder. Split
+search is exact or by 64-bin histograms.
 
 Split search is one splitter object per boosting fit, shared by every
 round and class since X never changes. Exact mode presorts each column
@@ -62,7 +64,8 @@ MIN_GAIN = -1e-12
 
 @dataclass
 class Tree(Codec):
-    """Flat-array binary tree; node 0 is the root, LEAF marks leaves."""
+    """Flat-array binary tree; node 0 is the root, LEAF marks leaves. A
+    grown tree lists its nodes in preorder."""
 
     feature: np.ndarray = index_field()  # (n_nodes,) split feature, LEAF at leaves
     threshold: np.ndarray                # (n_nodes,) split threshold (x <= t goes left)
@@ -123,45 +126,6 @@ class Tree(Codec):
         return E[0]
 
 
-class _TreeBuilder:
-    """Accumulates nodes during growth and freezes them into a Tree."""
-
-    def __init__(self, n_out: int):
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[np.ndarray] = []
-        self.cover: list[float] = []
-        self.n_out = n_out
-
-    def add(self, cover: float, value: np.ndarray | None = None) -> int:
-        self.feature.append(LEAF)
-        self.threshold.append(0.0)
-        self.left.append(LEAF)
-        self.right.append(LEAF)
-        self.value.append(np.zeros(self.n_out) if value is None else np.asarray(value, dtype=np.float64))
-        self.cover.append(float(cover))
-        return len(self.feature) - 1
-
-    def split(self, node: int, feature: int, threshold: float, left: int, right: int):
-        self.feature[node] = feature
-        self.threshold[node] = threshold
-        self.left[node] = left
-        self.right[node] = right
-        self.value[node] = np.zeros(self.n_out)
-
-    def freeze(self) -> Tree:
-        return Tree(
-            feature=np.array(self.feature, dtype=np.intp),
-            threshold=np.array(self.threshold, dtype=np.float64),
-            left=np.array(self.left, dtype=np.intp),
-            right=np.array(self.right, dtype=np.intp),
-            value=np.array(self.value, dtype=np.float64),
-            cover=np.array(self.cover, dtype=np.float64),
-        )
-
-
 # --- split search -----------------------------------------------------------
 #
 # A splitter serves every regression tree of one boosting fit, or one
@@ -169,10 +133,6 @@ class _TreeBuilder:
 # the rows in ascending order, R is the splitter's own state for them.
 # `best_split` scores every feature of the node in one pass; `partition`
 # returns the children's pairs.
-
-
-def _newton_value(g_sum: float, h_sum: float, lam: float) -> float:
-    return g_sum / (h_sum + lam)
 
 
 def _split_gains(GL, HL, G, H, lam, valid) -> np.ndarray:
@@ -299,6 +259,52 @@ def _splitter(X: np.ndarray, cfg: TrainConfig):
     return _Histogram(X, cfg.n_bins) if cfg.splits == "hist" else _Presorted(X)
 
 
+def _grow(splitter, split, leaf, max_depth: int | None,
+          max_leaves: int | None) -> Tree:
+    """Best-first growth. `split(rows)` gives a node's (gain, feature,
+    threshold), feature -1 for none; `leaf(idx)` gives a leaf's payload.
+    The frontier pops the splittable leaf of highest gain, ties to the
+    earliest pushed, until none is left or max_leaves leaves exist; nodes
+    at max_depth are not split. The nodes are then renumbered in preorder."""
+    nodes: list[list] = []   # [feature, threshold, left, right, row indices]
+    frontier: list = []
+
+    def add(rows, depth) -> int:
+        nodes.append([LEAF, 0.0, LEAF, LEAF, rows[0]])
+        if max_depth is None or depth < max_depth:
+            gain, j, thr = split(rows)
+            if j >= 0:   # node numbers rise with each push, so they order ties
+                heapq.heappush(frontier, (-gain, len(nodes) - 1, rows, j, thr, depth))
+        return len(nodes) - 1
+
+    add(splitter.root(), 0)
+    # A tree of L leaves has 2L - 1 nodes.
+    while frontier and (max_leaves is None or len(nodes) < 2 * max_leaves - 1):
+        _, node, rows, j, thr, depth = heapq.heappop(frontier)
+        rows_l, rows_r = splitter.partition(rows, j, thr)
+        nodes[node][:4] = j, thr, add(rows_l, depth + 1), add(rows_r, depth + 1)
+
+    order, stack = [], [0]
+    while stack:
+        order.append(stack.pop())
+        f, _, l, r, _ = nodes[order[-1]]
+        if f != LEAF:
+            stack += (r, l)
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    feature, threshold, left, right, idx = zip(*(nodes[i] for i in order))
+    feature = np.array(feature, dtype=np.intp)
+    inner = feature != LEAF
+    leaves = np.flatnonzero(~inner)
+    payload = np.array([leaf(idx[i]) for i in leaves], dtype=np.float64)
+    value = np.zeros((len(order), payload.shape[1]))
+    value[leaves] = payload
+    return Tree(feature, np.array(threshold, dtype=np.float64),
+                np.where(inner, rank[np.array(left)], LEAF),
+                np.where(inner, rank[np.array(right)], LEAF),
+                value, np.array([len(i) for i in idx], dtype=np.float64))
+
+
 def grow_regression_tree(X, g, h, cfg: TrainConfig,
                          splitter=None) -> tuple[Tree, np.ndarray]:
     """Newton regression tree on (gradient, hessian); returns the tree and
@@ -308,66 +314,20 @@ def grow_regression_tree(X, g, h, cfg: TrainConfig,
         splitter = _splitter(X, cfg)
     lam = cfg.reg_lambda
     min_leaf = cfg.resolved_min_leaf
-    builder = _TreeBuilder(n_out=1)
     fitted = np.empty(len(g))
 
-    def make_leaf(node, idx):
-        w = _newton_value(g[idx].sum(), h[idx].sum(), lam)
-        builder.value[node] = np.array([w])
-        fitted[idx] = w
+    def split(rows):
+        if len(rows[0]) < 2 * min_leaf:
+            return MIN_GAIN, -1, 0.0
+        return splitter.best_split(rows, g, h, lam, min_leaf)
 
-    max_depth = cfg.resolved_max_depth
+    def leaf(idx):
+        fitted[idx] = w = g[idx].sum() / (h[idx].sum() + lam)   # the Newton step
+        return [w]
+
     if cfg.growth == "depth":
-        def recurse(rows, depth) -> int:
-            idx = rows[0]
-            node = builder.add(len(idx))
-            limit = max_depth is not None and depth >= max_depth
-            if limit or len(idx) < 2 * min_leaf:
-                make_leaf(node, idx)
-                return node
-            gain, j, thr = splitter.best_split(rows, g, h, lam, min_leaf)
-            if j < 0:
-                make_leaf(node, idx)
-                return node
-            left, right = splitter.partition(rows, j, thr)
-            l = recurse(left, depth + 1)
-            r = recurse(right, depth + 1)
-            builder.split(node, j, thr, l, r)
-            return node
-
-        recurse(splitter.root(), 0)
-    else:
-        # Leaf-wise: repeatedly split the frontier leaf with the best gain.
-        root_rows = splitter.root()
-        root = builder.add(len(root_rows[0]))
-        make_leaf(root, root_rows[0])
-        heap: list = []
-        counter = 0
-
-        def push(node, rows):
-            nonlocal counter
-            if len(rows[0]) < 2 * min_leaf:
-                return
-            gain, j, thr = splitter.best_split(rows, g, h, lam, min_leaf)
-            if j >= 0:
-                heapq.heappush(heap, (-gain, counter, node, rows, j, thr))
-                counter += 1
-
-        push(root, root_rows)
-        n_leaves = 1
-        while heap and n_leaves < cfg.max_leaves:
-            _, _, node, rows, j, thr = heapq.heappop(heap)
-            left, right = splitter.partition(rows, j, thr)
-            l = builder.add(len(left[0]))
-            r = builder.add(len(right[0]))
-            make_leaf(l, left[0])
-            make_leaf(r, right[0])
-            builder.split(node, j, thr, l, r)
-            n_leaves += 1
-            push(l, left)
-            push(r, right)
-
-    return builder.freeze(), fitted
+        return _grow(splitter, split, leaf, cfg.resolved_max_depth, None), fitted
+    return _grow(splitter, split, leaf, None, cfg.max_leaves), fitted
 
 
 def grow_gini_tree(X, y, n_classes: int, features: np.ndarray,
@@ -376,10 +336,12 @@ def grow_gini_tree(X, y, n_classes: int, features: np.ndarray,
     class distributions. Splits come from one presorted scan per node."""
     splitter = _Presorted(X[:, features])
     indicators = [(y == k).astype(float) for k in range(n_classes)]
-    builder = _TreeBuilder(n_out=n_classes)
 
-    def best_split(rows, counts):
+    def split(rows):
         n = len(rows[0])
+        counts = np.bincount(y[rows[0]], minlength=n_classes).astype(float)
+        if counts.max() == n or n < 2 * min_leaf:
+            return MIN_GAIN, -1, 0.0
         xs, CL, valid = splitter.scan(rows, indicators, min_leaf)
         parent = 1.0 - ((counts / n) ** 2).sum()
         # Class counts are exact integers, so every sum over classes is too.
@@ -390,27 +352,13 @@ def grow_gini_tree(X, y, n_classes: int, features: np.ndarray,
         gains = parent - (NL / n) * gini_l - (NR / n) * gini_r
         return _best_cut(xs, np.where(valid, gains, -np.inf))
 
-    def recurse(rows, depth) -> int:
-        idx = rows[0]
-        node = builder.add(len(idx))
-        counts = np.bincount(y[idx], minlength=n_classes).astype(float)
-        pure = counts.max() == len(idx)
-        deep = max_depth is not None and depth >= max_depth
-        if pure or deep or len(idx) < 2 * min_leaf:
-            builder.value[node] = counts / counts.sum()
-            return node
-        gain, j, thr = best_split(rows, counts)
-        if j < 0:
-            builder.value[node] = counts / counts.sum()
-            return node
-        left, right = splitter.partition(rows, j, thr)
-        l = recurse(left, depth + 1)
-        r = recurse(right, depth + 1)
-        builder.split(node, int(features[j]), thr, l, r)
-        return node
+    def leaf(idx):
+        return np.bincount(y[idx], minlength=n_classes) / len(idx)
 
-    recurse(splitter.root(), 0)
-    return builder.freeze()
+    tree = _grow(splitter, split, leaf, max_depth, None)
+    inner = tree.feature != LEAF
+    tree.feature[inner] = features[tree.feature[inner]]
+    return tree
 
 
 # --- the ensemble model -------------------------------------------------------
@@ -430,6 +378,16 @@ class TreeEnsembleModel(Model):
     shap_paths: object = field(default=None, init=False, repr=False, compare=False)
 
     kind = "tree_ensemble"
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "TreeEnsembleModel":
+        """A stored ensemble; an inner node whose feature is not a column
+        of feature_names raises SchemaMismatch."""
+        model = super().from_dict(d)
+        used = np.concatenate([[LEAF]] + [t.feature for t in model.trees])
+        if used.min() < LEAF or used.max() >= len(model.feature_names):
+            raise SchemaMismatch("a tree node's feature must index feature_names")
+        return model
 
     def margins(self, X: np.ndarray) -> np.ndarray:
         """Boosting: per-class log-odds scores. Bagging: averaged leaf

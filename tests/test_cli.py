@@ -484,6 +484,21 @@ class TestConfigHandling:
         assert "n_trees" in err["message"]
         assert not list((tmp_path / "run").glob("*.json"))
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-depth", "-1"), ("--max-leaves", "0"), ("--max-leaves", "-3"),
+        ("--min-samples-leaf", "0"), ("--min-samples-leaf", "-2")])
+    def test_tree_size_below_its_least_is_config_error(self, tmp_path, monkeypatch,
+                                                       capfd, flag, value):
+        _feature_csv(tmp_path / "t.csv", "stress_16")
+        code = _run(tmp_path, monkeypatch, [
+            "train", "--features", "t.csv", "--growth", "leaf", "--trees", "3",
+            flag, value, "--out", "run"])
+        assert code == 2
+        err = _error(capfd)
+        assert err["type"] == "ConfigError"
+        assert flag[2:].replace("-", "_") in err["message"]
+        assert not list((tmp_path / "run").glob("*.json"))
+
     def test_csv_headers_are_json_under_non_finite_config(self, synth_data,
                                                          tmp_path, monkeypatch):
         def reject(name):

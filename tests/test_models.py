@@ -1,5 +1,6 @@
 """Model trainers: separability canaries, oracles, invariants, round-trips."""
 
+import heapq
 import itertools
 import json
 import math
@@ -183,6 +184,14 @@ class TestBoosting:
             data, TrainConfig(kind="boosting", n_trees=20, max_depth=0))
         probs = model.predict_proba(data.X)
         assert np.allclose(probs, 0.5, atol=1e-9)
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_depth", -1), ("max_leaves", 0), ("max_leaves", -3),
+        ("min_samples_leaf", 0), ("min_samples_leaf", -2), ("n_bins", 1), ("n_bins", 0)])
+    def test_tree_size_below_its_least_is_config_error(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(kind="boosting", **{field: value})
+        TrainConfig(kind="bagging", max_depth=0, max_leaves=1, min_samples_leaf=1, n_bins=2)
 
     def test_log_loss_non_increasing_per_round(self):
         data = _blobs(n=80, gap=1.2, seed=3)
@@ -420,11 +429,164 @@ class TestBinaryMirrorOracle:
         assert len(model.trees) == 7 * K
 
 
+class _Builder:
+    """Nodes in creation order, frozen into a Tree: how the growers stored
+    trees before they shared one frontier."""
+
+    def __init__(self, n_out):
+        self.n_out = n_out
+        self.feature, self.threshold, self.left, self.right = [], [], [], []
+        self.value, self.cover = [], []
+
+    def add(self, cover):
+        self.feature.append(LEAF)
+        self.threshold.append(0.0)
+        self.left.append(LEAF)
+        self.right.append(LEAF)
+        self.value.append(np.zeros(self.n_out))
+        self.cover.append(float(cover))
+        return len(self.feature) - 1
+
+    def split(self, node, feature, threshold, left, right):
+        self.feature[node], self.threshold[node] = feature, threshold
+        self.left[node], self.right[node] = left, right
+        self.value[node] = np.zeros(self.n_out)
+
+    def freeze(self):
+        return trees.Tree(np.array(self.feature, dtype=np.intp), np.array(self.threshold),
+                          np.array(self.left, dtype=np.intp),
+                          np.array(self.right, dtype=np.intp),
+                          np.array(self.value), np.array(self.cover))
+
+
+def _in_preorder(tree):
+    """The tree with its nodes renumbered by a recursive preorder walk."""
+    order = []
+
+    def visit(node):
+        order.append(node)
+        if tree.feature[node] != LEAF:
+            visit(tree.left[node])
+            visit(tree.right[node])
+
+    visit(0)
+    rank = {old: new for new, old in enumerate(order)}
+
+    def children(side):
+        return np.array([rank[side[i]] if tree.feature[i] != LEAF else LEAF
+                         for i in order], dtype=np.intp)
+
+    return trees.Tree(tree.feature[order], tree.threshold[order], children(tree.left),
+                      children(tree.right), tree.value[order], tree.cover[order])
+
+
+def _assert_preorder(tree):
+    """Every inner node i has left == i + 1 and right == i + 1 + the size
+    of its left subtree; leaves have no children."""
+    inner = np.flatnonzero(tree.feature != LEAF)
+    leaves = np.flatnonzero(tree.feature == LEAF)
+    size = np.ones(tree.n_nodes, dtype=np.intp)
+    for i in inner[::-1]:
+        assert tree.left[i] > i and tree.right[i] > i
+        size[i] += size[tree.left[i]] + size[tree.right[i]]
+    assert size[0] == tree.n_nodes
+    assert np.array_equal(tree.left[inner], inner + 1)
+    assert np.array_equal(tree.right[inner], inner + 1 + size[inner + 1])
+    assert np.all(tree.left[leaves] == LEAF) and np.all(tree.right[leaves] == LEAF)
+
+
+def _reference_leafwise_tree(X, g, h, cfg, splitter=None):
+    """The leaf-wise heap loop before one grower served every tree: nodes in
+    creation order, renumbered into preorder only at the end."""
+    if splitter is None:
+        splitter = trees._splitter(X, cfg)
+    lam, min_leaf = cfg.reg_lambda, cfg.resolved_min_leaf
+    builder = _Builder(n_out=1)
+    fitted = np.empty(len(g))
+
+    def make_leaf(node, idx):
+        w = g[idx].sum() / (h[idx].sum() + lam)
+        builder.value[node] = np.array([w])
+        fitted[idx] = w
+
+    root_rows = splitter.root()
+    root = builder.add(len(root_rows[0]))
+    make_leaf(root, root_rows[0])
+    heap, counter = [], 0
+
+    def push(node, rows):
+        nonlocal counter
+        if len(rows[0]) < 2 * min_leaf:
+            return
+        gain, j, thr = splitter.best_split(rows, g, h, lam, min_leaf)
+        if j >= 0:
+            heapq.heappush(heap, (-gain, counter, node, rows, j, thr))
+            counter += 1
+
+    push(root, root_rows)
+    n_leaves = 1
+    while heap and n_leaves < cfg.max_leaves:
+        _, _, node, rows, j, thr = heapq.heappop(heap)
+        left, right = splitter.partition(rows, j, thr)
+        l = builder.add(len(left[0]))
+        r = builder.add(len(right[0]))
+        make_leaf(l, left[0])
+        make_leaf(r, right[0])
+        builder.split(node, j, thr, l, r)
+        n_leaves += 1
+        push(l, left)
+        push(r, right)
+    return _in_preorder(builder.freeze()), fitted
+
+
+class TestOneGrower:
+    @pytest.mark.parametrize("K", [2, 3])
+    @pytest.mark.parametrize("min_leaf", [1, 3])
+    @pytest.mark.parametrize("splits", ["exact", "hist"])
+    def test_leaf_wise_matches_the_heap_loop(self, monkeypatch, splits, min_leaf, K):
+        data = _tied_matrix(K, seed=5 * K + min_leaf)
+        cfg = TrainConfig(kind="boosting", n_trees=6, learning_rate=0.5, growth="leaf",
+                          splits=splits, max_leaves=7, min_samples_leaf=min_leaf,
+                          n_bins=16)
+        grow = trees.grow_regression_tree
+        compared = []
+
+        def both(X, g, h, cfg, splitter=None):
+            tree, fitted = grow(X, g, h, cfg, splitter)
+            ref_tree, ref_fitted = _reference_leafwise_tree(X, g, h, cfg, splitter)
+            assert json.dumps(tree.to_dict()) == json.dumps(ref_tree.to_dict())
+            assert fitted.tobytes() == ref_fitted.tobytes()
+            compared.append(tree.n_nodes)
+            return tree, fitted
+
+        monkeypatch.setattr(trees, "grow_regression_tree", both)
+        model = train_tree_ensemble(data, cfg)
+        monkeypatch.setattr(trees, "grow_regression_tree", _reference_leafwise_tree)
+        reference = train_tree_ensemble(data, cfg)
+
+        assert len(compared) == 6 * (1 if K == 2 else K) and max(compared) >= 9
+        assert model_to_json(model) == model_to_json(reference)
+
+    @pytest.mark.parametrize("K", [2, 3])
+    @pytest.mark.parametrize("cfg", [
+        TrainConfig(kind="boosting", n_trees=5, max_depth=4),
+        TrainConfig(kind="boosting", n_trees=5, growth="leaf", max_leaves=9),
+        TrainConfig(kind="boosting", n_trees=5, growth="leaf", splits="hist", n_bins=8),
+        TrainConfig(kind="bagging", n_trees=5),
+        TrainConfig(kind="bagging", n_trees=5, max_depth=3, min_samples_leaf=4),
+    ], ids=["level-wise", "leaf-wise", "leaf-wise-hist", "gini", "gini-shallow"])
+    def test_every_grown_tree_is_in_preorder(self, cfg, K):
+        model = train_tree_ensemble(_tied_matrix(K, seed=K), cfg)
+        assert max(t.n_nodes for t in model.trees) >= 7
+        for tree in model.trees:
+            _assert_preorder(tree)
+
+
 def _reference_gini_tree(X, y, n_classes, features, max_depth, min_leaf):
     """The per-feature Gini search the presorted scan replaced: one argsort
     and one (n, K) one-hot per feature per node, the running best updated
     on a strictly greater gain."""
-    builder = trees._TreeBuilder(n_out=n_classes)
+    builder = _Builder(n_out=n_classes)
 
     def gini_counts(counts):
         n = counts.sum()
@@ -805,8 +967,23 @@ class TestSerialization:
          ' "trees": [{"feature": [0, -1, -1], "threshold": [0, 0, 0],'
          ' "left": [0, 0, 0], "right": [0, 0, 0], "value": [[0, 0], [1, 0], [0, 1]],'
          ' "cover": [2, 1, 1]}]}', "child must be a later node"),
+        ('{"model_kind": "tree_ensemble", "mode": "bagging", "classes": ["a", "b"],'
+         ' "feature_names": ["f", "g"], "tree_class": [], "learning_rate": 0.1,'
+         ' "base_score": [0, 0], "stats": {"impute": [0, 0], "mean": [0, 0],'
+         ' "std": [1, 1]}, "trees": [{"feature": [-2, -1, -1], "threshold": [0, 0, 0],'
+         ' "left": [1, -1, -1], "right": [2, -1, -1], "value": [[0, 0], [1, 0], [0, 1]],'
+         ' "cover": [2, 1, 1]}]}', "feature must index feature_names"),
+        # The all-zero probe row goes left at the root and never meets feature 9.
+        ('{"model_kind": "tree_ensemble", "mode": "bagging", "classes": ["a", "b"],'
+         ' "feature_names": ["f", "g", "h", "i"], "tree_class": [], "learning_rate": 0.1,'
+         ' "base_score": [0, 0], "stats": {"impute": [0, 0, 0, 0], "mean": [0, 0, 0, 0],'
+         ' "std": [1, 1, 1, 1]}, "trees": [{"feature": [0, -1, 9, -1, -1],'
+         ' "threshold": [0, 0, 0.5, 0, 0], "left": [1, -1, 3, -1, -1],'
+         ' "right": [2, -1, 4, -1, -1], "value": [[0, 0], [1, 0], [0, 0], [1, 0], [0, 1]],'
+         ' "cover": [4, 2, 2, 1, 1]}]}', "feature must index feature_names"),
     ], ids=["not-json", "not-object", "missing-field", "wrong-type", "wrong-value",
-            "scalar-weights", "weights-too-wide", "base-score-too-long", "child-points-up"])
+            "scalar-weights", "weights-too-wide", "base-score-too-long", "child-points-up",
+            "negative-feature", "feature-past-the-columns"])
     def test_malformed_json_is_schema_mismatch(self, text, message):
         with pytest.raises(SchemaMismatch, match=message):
             model_from_json(text)

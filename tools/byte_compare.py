@@ -42,7 +42,7 @@ def commands(name, preset, n, duration, schema):
         yield ["train", *feats, "--tune", "--model", kind, "--out", f"{name}/tune-{kind}"]
     yield ["train", *feats, "--trees", "200", "--growth", "leaf", "--split-mode", "hist",
            "--out", f"{name}/train-leaf-hist"]
-    for model in ("train-boosting", "train-logistic", "train-leaf-hist"):
+    for model in ("train-boosting", "train-bagging", "train-logistic", "train-leaf-hist"):
         yield ["explain", "--model-path", f"{name}/{model}/model.json", *feats,
                "--out", f"{name}/explain-{model}"]
 
