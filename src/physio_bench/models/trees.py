@@ -20,13 +20,16 @@ round and class since X never changes. Exact mode presorts each column
 once (stable argsort) and carries every node's per-feature row orders
 down the tree by stable partition, so a node's orders equal a stable
 argsort of its own rows without sorting again (Chen & Guestrin, KDD 2016).
-The same presorted scan, fed class-indicator columns and scored by Gini
-gain, grows each bagging tree on its bootstrap rows and feature subset;
-bagging always searches exactly. Histogram mode (boosting only) bins all
-features of a node with one bincount over feature-offset codes (Ke et al.,
-NeurIPS 2017). Either way a node is scored in a single pass over a
-(features, cuts) array of cumulative per-row statistics; ties go to the
-first maximal cut of a feature, then to the first feature in column order.
+Histogram mode bins all features of a node with one bincount over
+feature-offset codes (Ke et al., NeurIPS 2017). Bagging searches exactly,
+and for a block of trees at once: their bootstrap samples lie side by
+side in one presorted column block, every node of a tree level is a
+contiguous run of it, and each level scores the nodes of all the block's
+trees in one pass and partitions them with one stable argsort. Gini class
+counts are exact integers, so each tree equals one grown alone. Either
+way a node is scored over a (features, cuts) array of cumulative per-row
+statistics; ties go to the first maximal cut of a feature, then to the
+first feature in column order.
 
 Trees store per-node training cover so path-dependent SHAP can compute
 conditional expectations without a background sample.
@@ -76,10 +79,14 @@ class Tree(Codec):
 
     @classmethod
     def from_dict(cls, d: dict) -> "Tree":
-        """A stored tree; an inner node whose children are not later nodes
-        of the tree raises SchemaMismatch, since `_route` would never reach
-        a leaf and `expected_value` reads children before parents."""
+        """A stored tree; per-node arrays of another length than `feature`,
+        or an inner node whose children are not later nodes of the tree,
+        raise SchemaMismatch, since `_route` would never reach a leaf and
+        `expected_value` reads children before parents."""
         tree = super().from_dict(d)
+        per_node = (tree.threshold, tree.left, tree.right, tree.value, tree.cover)
+        if tree.value.ndim != 2 or any(len(a) != tree.n_nodes for a in per_node):
+            raise SchemaMismatch("a tree's per-node arrays must each have one entry per node")
         first = np.minimum(tree.left, tree.right)
         last = np.maximum(tree.left, tree.right)
         inner = tree.feature != LEAF
@@ -128,11 +135,10 @@ class Tree(Codec):
 
 # --- split search -----------------------------------------------------------
 #
-# A splitter serves every regression tree of one boosting fit, or one
-# bagging tree. It hands a node's rows around as a pair (idx, R): idx lists
-# the rows in ascending order, R is the splitter's own state for them.
-# `best_split` scores every feature of the node in one pass; `partition`
-# returns the children's pairs.
+# A splitter serves every regression tree of one boosting fit. It hands a
+# node's rows around as a pair (idx, R): idx lists the rows in ascending
+# order, R is the splitter's own state for them. `best_split` scores every
+# feature of the node in one pass; `partition` returns the children's pairs.
 
 
 def _split_gains(GL, HL, G, H, lam, valid) -> np.ndarray:
@@ -159,15 +165,6 @@ def _first_best(gains: np.ndarray) -> tuple[float, int, int]:
     return float(best[j]), j, int(cuts[j])
 
 
-def _best_cut(xs, gains) -> tuple[float, int, float]:
-    """`_first_best` of a presorted scan; the threshold is the midpoint of
-    the cut's two neighbouring sorted values."""
-    gain, j, cut = _first_best(gains)
-    if j < 0:
-        return gain, j, 0.0
-    return gain, j, float(0.5 * (xs[j, cut] + xs[j, cut + 1]))
-
-
 class _Presorted:
     """Exact greedy search over one presort per fit (XGBoost's pre-sorted
     algorithm). R[j] lists the node's rows in ascending X[:, j], ties by
@@ -180,25 +177,25 @@ class _Presorted:
     def root(self):
         return np.arange(self.Xt.shape[1]), self.order
 
-    def scan(self, rows, stats, min_leaf):
-        """One criterion-agnostic pass over a node: each feature's sorted
-        values xs (d, n); for each per-row statistic in `stats`, its sums
-        left of a cut after each position (d, n - 1); and the mask of valid
-        cuts (a value change, at least min_leaf rows on either side)."""
+    def best_split(self, rows, g, h, lam, min_leaf):
+        """One pass over a node: each feature's sorted values xs (d, n), the
+        g and h sums left of a cut after each position (d, n - 1), and the
+        valid cuts (a value change, at least min_leaf rows on either side).
+        The threshold is the midpoint of the cut's two sorted values."""
         idx, R = rows
         n = len(idx)
         xs = np.take_along_axis(self.Xt, R, axis=1)
-        left = [np.cumsum(s[R], axis=1)[:, :-1] for s in stats]
+        GL = np.cumsum(g[R], axis=1)[:, :-1]
+        HL = np.cumsum(h[R], axis=1)[:, :-1]
         valid = xs[:, :-1] < xs[:, 1:]
         if min_leaf > 1:
             pos = np.arange(1, n)
             valid &= (pos >= min_leaf) & (n - pos >= min_leaf)
-        return xs, left, valid
-
-    def best_split(self, rows, g, h, lam, min_leaf):
-        idx = rows[0]
-        xs, (GL, HL), valid = self.scan(rows, (g, h), min_leaf)
-        return _best_cut(xs, _split_gains(GL, HL, g[idx].sum(), h[idx].sum(), lam, valid))
+        gains = _split_gains(GL, HL, g[idx].sum(), h[idx].sum(), lam, valid)
+        gain, j, cut = _first_best(gains)
+        if j < 0:
+            return gain, j, 0.0
+        return gain, j, float(0.5 * (xs[j, cut] + xs[j, cut + 1]))
 
     def partition(self, rows, j, thr):
         idx, R = rows
@@ -330,32 +327,169 @@ def grow_regression_tree(X, g, h, cfg: TrainConfig,
     return _grow(splitter, split, leaf, None, cfg.max_leaves), fitted
 
 
-def grow_gini_tree(X, y, n_classes: int, features: np.ndarray,
-                   max_depth: int | None, min_leaf: int) -> Tree:
-    """Gini-impurity classification tree on X[:, features]; leaves hold
-    class distributions. Splits come from one presorted scan per node."""
-    splitter = _Presorted(X[:, features])
-    indicators = [(y == k).astype(float) for k in range(n_classes)]
+#: Trees per `_GiniForest` block of a bagging fit. It bounds the fit's
+#: peak memory; the trees do not depend on it.
+FOREST_CHUNK = 10
 
-    def split(rows):
-        n = len(rows[0])
-        counts = np.bincount(y[rows[0]], minlength=n_classes).astype(float)
-        if counts.max() == n or n < 2 * min_leaf:
-            return MIN_GAIN, -1, 0.0
-        xs, CL, valid = splitter.scan(rows, indicators, min_leaf)
-        parent = 1.0 - ((counts / n) ** 2).sum()
-        # Class counts are exact integers, so every sum over classes is too.
-        NL = np.arange(1.0, n)
-        NR = n - NL
-        gini_l = 1.0 - sum(c ** 2 for c in CL) / NL ** 2
-        gini_r = 1.0 - sum((counts[k] - c) ** 2 for k, c in enumerate(CL)) / NR ** 2
-        gains = parent - (NL / n) * gini_l - (NR / n) * gini_r
-        return _best_cut(xs, np.where(valid, gains, -np.inf))
+
+def _gini_cuts(Xt, yF, R, lens, counts, min_leaf):
+    """`_first_best` Gini split of every node of one forest level. Row f
+    of R holds flat indices into Xt for feature f; node i is the i-th run
+    of lens[i] positions and has class counts counts[i]. Returns per node
+    the gain, local feature and threshold; no gain above MIN_GAIN, no split."""
+    F, M = R.shape
+    starts = np.cumsum(lens) - lens
+    n_pos = np.repeat(lens, lens)
+    nl = np.arange(1, M + 1) - np.repeat(starts, lens)   # rows left of each cut
+    nr = n_pos - nl                                       # 0 at a node's end
+    xs = Xt[R]
+    valid = np.zeros((F, M), dtype=bool)
+    valid[:, :-1] = xs[:, :-1] < xs[:, 1:]
+    valid &= (nl >= min_leaf) & (nr >= min_leaf)
+    # A class's count left of each cut is its cumulative sum less the
+    # value at the node's start. Counts are exact integers, so every sum of
+    # squares equals the per-node search's.
+    sq_l = sq_r = 0
+    rest = nl.copy()   # the last class's counts, which change in place below
+    for k in range(counts.shape[1]):
+        if k < counts.shape[1] - 1:
+            hit = yF[R] == k
+            ck = np.cumsum(hit, axis=1)
+            ck -= np.repeat(ck[:, starts] - hit[:, starts], lens, axis=1)
+            rest = rest - ck
+        else:   # the last class holds the rest of the left rows
+            ck = rest
+        sq_l = sq_l + ck * ck
+        ck -= np.repeat(counts[:, k], lens)
+        sq_r = sq_r + ck * ck
+    del ck, rest
+    parent = np.repeat(1.0 - ((counts / lens[:, None]) ** 2).sum(axis=1), lens)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gains = parent - (nl / n_pos) * (1.0 - sq_l / nl ** 2)
+        del sq_l
+        gains -= (nr / n_pos) * (1.0 - sq_r / nr ** 2)
+    gains = np.where(valid, gains, -np.inf)
+    # Each feature's first maximal cut, then the first feature of greatest
+    # gain above MIN_GAIN.
+    best = np.maximum.reduceat(gains, starts, axis=1)
+    at_best = np.where(gains == np.repeat(best, lens, axis=1), np.arange(M), M)
+    cut = np.minimum.reduceat(at_best, starts, axis=1)
+    best[best <= MIN_GAIN] = -np.inf
+    node = np.arange(len(lens))
+    j = np.argmax(best, axis=0)
+    c = cut[j, node]
+    return best[j, node], j, 0.5 * (xs[j, c] + xs[j, c + 1])
+
+
+class _GiniForest:
+    """The Gini split search of a block of bagging trees, level by level:
+    XGBoost's column block (Chen & Guestrin, KDD 2016, section 4.1) laid
+    across a forest. Tree t's bootstrap sample X[rows[t]][:, feats[t]]
+    fills positions t * n to (t + 1) * n of one (features, trees * n)
+    block. Every open node is a run of R in which each feature's positions
+    ascend by value, ties by position, as a stable argsort of the node's
+    own rows orders them; one stable argsort of child keys per level keeps
+    that order. Nodes are numbered level by level, tree t's root is node
+    t, and a node's rows are (its tree-local row indices, its number)."""
+
+    def __init__(self, X, y, n_classes: int, rows: np.ndarray, feats: np.ndarray,
+                 max_depth: int | None, min_leaf: int):
+        T, n = rows.shape
+        F, K, N = feats.shape[1], n_classes, rows.size
+        Xt = X[rows, feats.T[:, :, None]]   # (F, T, n)
+        yb = y[rows].ravel()
+        # R holds flat indices into Xt: row f indexes f * N + position, so
+        # R[0] holds the positions themselves.
+        R = np.argsort(Xt, axis=2, kind="stable").reshape(F, N)
+        R += np.repeat(n * np.arange(T), n) + N * np.arange(F)[:, None]
+        Xt, yF = Xt.ravel(), np.tile(yb.astype(np.min_scalar_type(K)), F)
+        # Node i owns slots base to base + lens of `order`, and a split gives
+        # its left child the first n_left of them. Written at every level,
+        # `order` ends holding each node's positions in the node's slots.
+        lens, base = np.full(T, n), n * np.arange(T)
+        order = np.empty(N, dtype=np.intp)
+        # Per level, per node: slot start, cover, gain, feature, threshold
+        # and left child.
+        levels = []
+        n_nodes = depth = 0
+        while len(lens):
+            S = len(lens)
+            seg = np.repeat(np.arange(S), lens)
+            order[np.repeat(base - np.cumsum(lens) + lens, lens) + np.arange(len(seg))] = R[0]
+            counts = np.bincount(seg * K + yb[R[0]], minlength=S * K).reshape(S, K)
+            # Every node a leaf, until the search below fills in the splits.
+            gain, j, thr = np.full(S, MIN_GAIN), np.full(S, LEAF), np.zeros(S)
+            child = np.full(S, LEAF)
+            levels.append((base, lens, gain, j, thr, child))
+            n_nodes += S
+            search = (counts.max(axis=1) < lens) & (lens >= 2 * min_leaf)
+            if not search.any() or (max_depth is not None and depth >= max_depth):
+                break
+            if not search.all():   # score the searchable nodes only
+                R = R.compress(np.repeat(search, lens), axis=1)
+                lens, base, counts = lens[search], base[search], counts[search]
+            bg, jj, tt = _gini_cuts(Xt, yF, R, lens, counts, min_leaf)
+            split = bg > MIN_GAIN
+            at = np.flatnonzero(search)[split]
+            gain[at], j[at], thr[at] = bg[split], jj[split], tt[split]
+            child[at] = n_nodes + 2 * np.arange(len(at))
+            # Children in node order, each left then right; the nodes that
+            # did not split sort last and are dropped.
+            left = np.zeros(N, dtype=bool)
+            left[R[0]] = Xt[np.repeat(jj * N, lens) + R[0]] <= np.repeat(tt, lens)
+            L = np.tile(left, F)[R]
+            n_left = np.add.reduceat(L[0], np.cumsum(lens) - lens, dtype=np.intp)[split]
+            key = np.where(split, 2 * np.cumsum(split) - 2, 2 * len(at))
+            # The smallest dtype that holds the keys sorts fastest.
+            key = np.repeat(key.astype(np.min_scalar_type(2 * len(at) + 1)), lens) + ~L
+            perm = np.argsort(key, axis=1, kind="stable")[:, :lens[split].sum()]
+            R = np.take(R, perm + R.shape[1] * np.arange(F)[:, None])
+            base = np.column_stack([base[split], base[split] + n_left]).ravel()
+            lens = np.column_stack([n_left, lens[split] - n_left]).ravel()
+            depth += 1
+        self.rows = order % n
+        self.start, self.cover, gain, j, thr, self.left = (
+            np.concatenate(column).tolist() for column in zip(*levels))
+        self.found = list(zip(gain, j, thr))
+
+    def node(self, i: int):
+        return self.rows[self.start[i]:self.start[i] + self.cover[i]], i
+
+
+@dataclass
+class _ForestTree:
+    """Tree t of a `_GiniForest` search, as `_grow`'s splitter. Its root is
+    node t; node i's children are nodes left[i] and left[i] + 1."""
+
+    forest: _GiniForest
+    t: int
+
+    def root(self):
+        return self.forest.node(self.t)
+
+    def split(self, rows):
+        return self.forest.found[rows[1]]
+
+    def partition(self, rows, j, thr):
+        left = self.forest.left[rows[1]]
+        return self.forest.node(left), self.forest.node(left + 1)
+
+
+def grow_gini_tree(X, y, n_classes: int, features: np.ndarray,
+                   max_depth: int | None, min_leaf: int, splitter=None) -> Tree:
+    """Gini-impurity classification tree on X[:, features]; leaves hold
+    class distributions. `splitter` is this tree of a bagging fit's
+    `_GiniForest` search; when None, the tree is searched alone, as a
+    forest of one."""
+    if splitter is None:
+        forest = _GiniForest(X, y, n_classes, np.arange(len(y))[None],
+                             np.asarray(features)[None], max_depth, min_leaf)
+        splitter = _ForestTree(forest, 0)
 
     def leaf(idx):
         return np.bincount(y[idx], minlength=n_classes) / len(idx)
 
-    tree = _grow(splitter, split, leaf, max_depth, None)
+    tree = _grow(splitter, splitter.split, leaf, max_depth, None)
     inner = tree.feature != LEAF
     tree.feature[inner] = features[tree.feature[inner]]
     return tree
@@ -382,8 +516,12 @@ class TreeEnsembleModel(Model):
     @classmethod
     def from_dict(cls, d: dict) -> "TreeEnsembleModel":
         """A stored ensemble; an inner node whose feature is not a column
-        of feature_names raises SchemaMismatch."""
+        of feature_names, or a tree whose leaves do not hold one value per
+        class (bagging) or one score (boosting), raises SchemaMismatch."""
         model = super().from_dict(d)
+        n_out = 1 if model.mode == "boosting" else len(model.classes)
+        if any(t.n_out != n_out for t in model.trees):
+            raise SchemaMismatch(f"a {model.mode} tree's value must have {n_out} columns")
         used = np.concatenate([[LEAF]] + [t.feature for t in model.trees])
         if used.min() < LEAF or used.max() >= len(model.feature_names):
             raise SchemaMismatch("a tree node's feature must index feature_names")
@@ -431,15 +569,18 @@ def train_tree_ensemble(data: DataMatrix, cfg: TrainConfig) -> TreeEnsembleModel
 
     if cfg.kind == "bagging":
         n_sub = max(1, int(round(np.sqrt(d))))
+        depth, min_leaf = cfg.resolved_max_depth, cfg.resolved_min_leaf
         trees = []
-        for t in range(cfg.resolved_trees):
-            rng = np.random.default_rng([cfg.seed, t])
-            rows = rng.integers(0, n, n)
-            feats = np.sort(rng.choice(d, size=n_sub, replace=False))
-            trees.append(
-                grow_gini_tree(X[rows], y[rows], K, feats, cfg.resolved_max_depth,
-                               cfg.resolved_min_leaf)
-            )
+        for first in range(0, cfg.resolved_trees, FOREST_CHUNK):
+            draws = []
+            for t in range(first, min(first + FOREST_CHUNK, cfg.resolved_trees)):
+                rng = np.random.default_rng([cfg.seed, t])
+                draws.append((rng.integers(0, n, n),   # the rows, then the features
+                              np.sort(rng.choice(d, size=n_sub, replace=False))))
+            rows, feats = (np.array(a) for a in zip(*draws))
+            forest = _GiniForest(X, y, K, rows, feats, depth, min_leaf)
+            trees += [grow_gini_tree(X[r], y[r], K, f, depth, min_leaf, _ForestTree(forest, i))
+                      for i, (r, f) in enumerate(draws)]
         return TreeEnsembleModel("bagging", classes, trees, [LEAF] * len(trees),
                                  1.0, np.zeros(K), stats, list(data.feature_names))
 

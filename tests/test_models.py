@@ -29,7 +29,7 @@ from physio_bench.models import (
     rbf_kernel,
     rbf_matrix,
 )
-from physio_bench.models.base import ColumnStats, softmax
+from physio_bench.models.base import ColumnStats, class_order, encode_labels, softmax
 from physio_bench.models.logistic import _loss_grad
 from physio_bench.models import svm, trees
 from physio_bench.models.trees import LEAF, MIN_GAIN, grow_gini_tree
@@ -645,22 +645,63 @@ def _reference_gini_tree(X, y, n_classes, features, max_depth, min_leaf):
     return builder.freeze()
 
 
+def _bagging_draws(data, cfg):
+    """The imputed X, encoded y, class count and each tree's (bootstrap
+    rows, sorted feature subset) of a bagging fit: tree t draws from
+    default_rng([seed, t]), as `train_tree_ensemble` does."""
+    classes = class_order(data.labels)
+    X = ColumnStats.fit(data.X).impute_only(data.X)
+    n, d = X.shape
+    draws = []
+    for t in range(cfg.resolved_trees):
+        rng = np.random.default_rng([cfg.seed, t])
+        rows = rng.integers(0, n, n)
+        draws.append((rows, np.sort(rng.choice(d, size=max(1, round(np.sqrt(d))),
+                                               replace=False))))
+    return X, encode_labels(data.labels, classes), len(classes), draws
+
+
+def _tree_json(tree_list):
+    return json.dumps([t.to_dict() for t in tree_list])
+
+
 class TestGiniSplitEquivalence:
     @pytest.mark.parametrize("K", [2, 3])
     @pytest.mark.parametrize("min_leaf", [1, 2, 3])
     @pytest.mark.parametrize("max_depth", [None, 0, 3])
-    def test_same_forest_as_per_feature_search(self, monkeypatch, max_depth,
-                                               min_leaf, K):
+    def test_same_forest_as_per_feature_search(self, max_depth, min_leaf, K):
         data = _tied_matrix(K, seed=7 * K + min_leaf)
         cfg = TrainConfig(kind="bagging", n_trees=12, seed=K + min_leaf,
                           max_depth=max_depth, min_samples_leaf=min_leaf)
         model = train_tree_ensemble(data, cfg)
-        monkeypatch.setattr(trees, "grow_gini_tree", _reference_gini_tree)
-        reference = train_tree_ensemble(data, cfg)
+        X, y, n_classes, draws = _bagging_draws(data, cfg)
+        reference = [_reference_gini_tree(X[rows], y[rows], n_classes, feats,
+                                          max_depth, min_leaf) for rows, feats in draws]
 
         grown = sum(t.n_nodes for t in model.trees)
         assert grown == 12 if max_depth == 0 else grown > 12 * 3
-        assert json.dumps(model.to_dict()) == json.dumps(reference.to_dict())
+        assert _tree_json(model.trees) == _tree_json(reference)
+
+    def test_forest_does_not_depend_on_chunk_size(self, monkeypatch):
+        data = _tied_matrix(3, seed=4)
+        cfg = TrainConfig(kind="bagging", n_trees=11, seed=3, min_samples_leaf=2)
+        texts = {model_to_json(train_tree_ensemble(data, cfg))}
+        for chunk in (1, 3, 12):
+            monkeypatch.setattr(trees, "FOREST_CHUNK", chunk)
+            texts.add(model_to_json(train_tree_ensemble(data, cfg)))
+        assert len(texts) == 1
+
+    @pytest.mark.parametrize("max_depth", [None, 2])
+    def test_one_tree_alone_is_that_tree_of_the_forest(self, max_depth):
+        data = _tied_matrix(2, seed=9)
+        cfg = TrainConfig(kind="bagging", n_trees=12, seed=5, max_depth=max_depth,
+                          min_samples_leaf=2)
+        model = train_tree_ensemble(data, cfg)
+        X, y, n_classes, draws = _bagging_draws(data, cfg)
+        for t in (0, 7, 11):
+            rows, feats = draws[t]
+            alone = grow_gini_tree(X[rows], y[rows], n_classes, feats, max_depth, 2)
+            assert _tree_json([alone]) == _tree_json([model.trees[t]])
 
 
 def _log_loss_of(scores, y):
@@ -901,7 +942,26 @@ class TestPredictContracts:
         assert np.all(np.isfinite(out))
 
 
+def _stump_model_text(mode="bagging", **arrays):
+    """A two-class, two-feature tree_ensemble model.json holding one stump
+    on feature 0; `arrays` replace the stump's per-node arrays."""
+    value = [[0], [1], [-1]] if mode == "boosting" else [[0, 0], [1, 0], [0, 1]]
+    tree = dict({"feature": [0, -1, -1], "threshold": [0, 0, 0], "left": [1, -1, -1],
+                 "right": [2, -1, -1], "value": value, "cover": [2, 1, 1]}, **arrays)
+    return json.dumps({
+        "model_kind": "tree_ensemble", "mode": mode, "classes": ["a", "b"],
+        "feature_names": ["f", "g"], "tree_class": [0] if mode == "boosting" else [],
+        "learning_rate": 0.1, "base_score": [0, 0],
+        "stats": {"impute": [0, 0], "mean": [0, 0], "std": [1, 1]}, "trees": [tree]})
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("mode", ["bagging", "boosting"])
+    def test_well_formed_stump_loads(self, mode):
+        model = model_from_json(_stump_model_text(mode))
+        assert model.predict_proba([[1.0, 0.0], [-1.0, 0.0]]).shape == (2, 2)
+        assert model.trees[0].expected_value().shape == (model.trees[0].n_out,)
+
     def test_round_trip_identical_predictions(self):
         data = _blobs(n=50, gap=1.5, seed=14)
         query = np.random.default_rng(15).normal(1.0, 2.0, size=(20, 3))
@@ -981,9 +1041,20 @@ class TestSerialization:
          ' "threshold": [0, 0, 0.5, 0, 0], "left": [1, -1, 3, -1, -1],'
          ' "right": [2, -1, 4, -1, -1], "value": [[0, 0], [1, 0], [0, 0], [1, 0], [0, 1]],'
          ' "cover": [4, 2, 2, 1, 1]}]}', "feature must index feature_names"),
+        # Node 1 is the probe row's leaf; a row that goes right meets node 2.
+        (_stump_model_text(value=[[0, 0], [1, 0]], cover=[2, 1]), "one entry per node"),
+        (_stump_model_text(threshold=[0, 0]), "one entry per node"),
+        (_stump_model_text(left=[1, -1, -1, -1]), "one entry per node"),
+        (_stump_model_text(right=[2, -1]), "one entry per node"),
+        (_stump_model_text(cover=[2, 1]), "one entry per node"),
+        (_stump_model_text(value=[0, 1, 0]), "one entry per node"),
+        (_stump_model_text(value=[[0, 0, 0], [1, 0, 0], [0, 1, 0]]), "must have 2 columns"),
+        (_stump_model_text("boosting", value=[[0, 0], [1, 0], [0, 1]]), "must have 1 columns"),
     ], ids=["not-json", "not-object", "missing-field", "wrong-type", "wrong-value",
             "scalar-weights", "weights-too-wide", "base-score-too-long", "child-points-up",
-            "negative-feature", "feature-past-the-columns"])
+            "negative-feature", "feature-past-the-columns", "value-rows-short",
+            "threshold-short", "left-long", "right-short", "cover-short", "value-flat",
+            "bagging-value-too-wide", "boosting-value-per-class"])
     def test_malformed_json_is_schema_mismatch(self, text, message):
         with pytest.raises(SchemaMismatch, match=message):
             model_from_json(text)

@@ -38,7 +38,7 @@ def commands(name, preset, n, duration, schema):
         yield ["train", *feats, "--model", kind, *trees, "--out", f"{name}/train-{kind}"]
     yield ["loso", *feats, "--out", f"{name}/loso"]
     yield ["ablate", *feats, "--folds", "5", "--out", f"{name}/ablate"]
-    for kind in ("knn", "svm"):
+    for kind in ("knn", "svm", "bagging"):
         yield ["train", *feats, "--tune", "--model", kind, "--out", f"{name}/tune-{kind}"]
     yield ["train", *feats, "--trees", "200", "--growth", "leaf", "--split-mode", "hist",
            "--out", f"{name}/train-leaf-hist"]
