@@ -142,12 +142,18 @@ class ColumnStats(Codec):
 
     @classmethod
     def fit(cls, X: np.ndarray) -> "ColumnStats":
-        with np.errstate(invalid="ignore"):
+        """Raises SchemaMismatch for a finite column whose mean or spread
+        overflows float64, which would standardize it to all zeros."""
+        with np.errstate(invalid="ignore", over="ignore"):
             impute = np.nanmean(X, axis=0)
-        impute = np.where(np.isnan(impute), 0.0, impute)
-        filled = cls._fill(X, impute)
-        mean = filled.mean(axis=0)
-        std = filled.std(axis=0)
+            impute = np.where(np.isnan(impute), 0.0, impute)
+            filled = cls._fill(X, impute)
+            mean = filled.mean(axis=0)
+            std = filled.std(axis=0)
+        bad = ~(np.isfinite(mean) & np.isfinite(std))
+        if bad.any():
+            raise SchemaMismatch(f"feature column {int(np.argmax(bad))} overflows "
+                                 "float64: its mean or spread is not finite")
         std = np.where(std > 0, std, 1.0)
         return cls(impute, mean, std)
 

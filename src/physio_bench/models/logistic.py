@@ -1,13 +1,21 @@
 """Multinomial logistic regression: the linear baseline.
 
-Full-batch gradient descent on the L2-regularized cross-entropy with
-Armijo backtracking, so the loss never increases across accepted steps.
-Converges when the gradient infinity-norm drops below 1e-6, capped at
-5000 iterations.
-"""
+A damped Newton method on the L2-regularized cross-entropy. Each step
+solves H s = -g, where H is the multinomial cross-entropy Hessian over
+the standardized rows with an intercept column, plus l2 / n on the
+weights. The loss is flat along b + c * 1, so H is singular in that one
+direction; the minimum-norm least-squares solution keeps the step, and
+so the bias, orthogonal to it: the bias stays centred. Armijo
+backtracking from the full step keeps the loss from increasing across
+accepted steps. The fit converges when the gradient infinity-norm drops
+below 1e-8, stops when no step along the Newton direction descends at
+float precision, and is capped at 5000 steps. Near the optimum each step
+about squares the gradient, so the study cohorts need 3 to 8 steps, and
+a stop at 1e-8 rather than 1e-6 costs at most one more."""
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +32,11 @@ from .base import (
     softmax,
 )
 
-GRAD_TOL = 1e-6
+GRAD_TOL = 1e-8
 MAX_ITER = 5000
+ARMIJO = 1e-4   # sufficient-decrease constant of the line search
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -59,6 +70,23 @@ def _loss_grad(Z: np.ndarray, Y: np.ndarray, W: np.ndarray, b: np.ndarray,
     return loss, gW, gb
 
 
+def _hessian(Z1: np.ndarray, P: np.ndarray, l2: float) -> np.ndarray:
+    """The (K(d+1), K(d+1)) Hessian of the loss in [W, b] at row
+    probabilities P: block (k, l) is Z1' diag(P_k (delta_kl - P_l)) Z1 / n
+    over Z1 = [Z, 1], plus l2 / n on the diagonal of the weights."""
+    n, m = Z1.shape
+    K = P.shape[1]
+    H = np.empty((K, m, K, m))
+    for k in range(K):
+        for l in range(k, K):
+            w = P[:, k] * ((k == l) - P[:, l])
+            H[k, :, l] = H[l, :, k] = (Z1.T * w) @ Z1 / n
+    H = H.reshape(K * m, K * m)
+    weights = np.flatnonzero(np.arange(K * m) % m < m - 1)
+    H[weights, weights] += l2 / n
+    return H
+
+
 def train_logistic(data: DataMatrix, cfg: TrainConfig) -> LogisticModel:
     classes = class_order(data.labels)
     require_multiclass(classes)
@@ -69,31 +97,39 @@ def train_logistic(data: DataMatrix, cfg: TrainConfig) -> LogisticModel:
     K = len(classes)
     Y = np.zeros((n, K))
     Y[np.arange(n), y] = 1.0
+    Z1 = np.column_stack([Z, np.ones(n)])
 
     W = np.zeros((K, d))
     b = np.zeros(K)
     loss, gW, gb = _loss_grad(Z, Y, W, b, cfg.l2)
-    step = 1.0
-    for _ in range(MAX_ITER):
+    calls, reason = 1, "MAX_ITER"
+    for steps in range(MAX_ITER + 1):
         if not np.isfinite(loss):
             raise NonFiniteLoss("logistic loss became non-finite")
         gnorm = max(np.abs(gW).max(), np.abs(gb).max())
         if gnorm < GRAD_TOL:
+            reason = "converged"
             break
-        # Armijo backtracking on the full-batch objective.
-        g_sq = float((gW * gW).sum() + (gb * gb).sum())
-        accepted = False
-        while step >= 1e-12:
-            W_new = W - step * gW
-            b_new = b - step * gb
+        if steps == MAX_ITER:
+            break
+        g = np.column_stack([gW, gb]).ravel()
+        H = _hessian(Z1, softmax(Z @ W.T + b), cfg.l2)
+        # Minimum norm: no step along the flat direction b + c * 1.
+        s = np.linalg.lstsq(H, -g, rcond=None)[0].reshape(K, d + 1)
+        slope = float(g @ s.ravel())
+        # Armijo backtracking from the full Newton step.
+        t = 1.0
+        while slope < 0 and t >= 1e-12:
+            W_new, b_new = W + t * s[:, :d], b + t * s[:, d]
             new_loss, gW_new, gb_new = _loss_grad(Z, Y, W_new, b_new, cfg.l2)
-            if new_loss <= loss - 1e-4 * step * g_sq:
-                accepted = True
+            calls += 1
+            if new_loss <= loss + ARMIJO * t * slope:
                 break
-            step *= 0.5
-        if not accepted:
-            break  # no descent step exists at float precision
+            t *= 0.5
+        else:
+            reason = "no descent step"   # exists at float precision
+            break
         W, b, loss, gW, gb = W_new, b_new, new_loss, gW_new, gb_new
-        step = min(step * 1.5, 1e4)
-
+    log.debug("logistic fit: %d rows, %d Newton steps, %d _loss_grad calls, "
+              "gradient %.2e, %s", n, steps, calls, gnorm, reason)
     return LogisticModel(classes, W, b, stats, list(data.feature_names))

@@ -66,22 +66,45 @@ def rbf_kernel(z1: np.ndarray, z2: np.ndarray, sigma: float) -> float:
     return float(np.exp(-d2 / (2.0 * sigma * sigma)))
 
 
+#: Elements of the (rows, m, d) difference array of one block of
+#: `_sq_dists`. It bounds the temporary; the distances do not depend on it.
+BLOCK_ELEMS = 1 << 18
+
+
+def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance of every row of A to every row of B,
+    in blocks of A's rows. Each entry is the sum of one contiguous row of
+    squared differences, the same reduction whatever the block size."""
+    m, d = B.shape
+    step = max(1, BLOCK_ELEMS // max(1, m * d))
+    d2 = np.empty((A.shape[0], m))
+    for i in range(0, A.shape[0], step):
+        d2[i:i + step] = ((A[i:i + step, None, :] - B[None, :, :]) ** 2).sum(axis=2)
+    return d2
+
+
+def _rbf(d2: np.ndarray, sigma: float) -> np.ndarray:
+    return np.exp(-d2 / (2.0 * sigma * sigma))
+
+
+def _median_distance(d2: np.ndarray) -> float:
+    """The median of the square roots of d2's entries above its diagonal."""
+    n = d2.shape[0]
+    if n < 2:
+        return 1.0
+    med = float(np.median(np.sqrt(d2[np.triu_indices(n, k=1)])))
+    return med if med > 0 else 1.0
+
+
 def rbf_matrix(A: np.ndarray, B: np.ndarray, sigma: float) -> np.ndarray:
     if not sigma > 0:
         raise NonPositiveSigma(f"sigma must be > 0, got {sigma}")
-    d2 = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
-    return np.exp(-d2 / (2.0 * sigma * sigma))
+    return _rbf(_sq_dists(A, B), sigma)
 
 
 def median_pairwise_distance(Z: np.ndarray) -> float:
     """Median Euclidean distance between distinct rows (the sigma heuristic)."""
-    n = Z.shape[0]
-    if n < 2:
-        return 1.0
-    d2 = ((Z[:, None, :] - Z[None, :, :]) ** 2).sum(axis=2)
-    vals = np.sqrt(d2[np.triu_indices(n, k=1)])
-    med = float(np.median(vals))
-    return med if med > 0 else 1.0
+    return _median_distance(_sq_dists(Z, Z))
 
 
 @dataclass
@@ -191,8 +214,9 @@ def train_svm_rbf(data: DataMatrix, cfg: TrainConfig) -> SvmModel:
     y_idx = encode_labels(data.labels, classes)
     stats = ColumnStats.fit(data.X)
     Z = stats.transform(data.X)
-    sigma = cfg.svm_sigma if cfg.svm_sigma is not None else median_pairwise_distance(Z)
-    K = rbf_matrix(Z, Z, sigma)
+    d2 = _sq_dists(Z, Z)   # one distance pass gives sigma and the kernel
+    sigma = cfg.svm_sigma if cfg.svm_sigma is not None else _median_distance(d2)
+    K = _rbf(d2, sigma)
 
     def fit_binary(y_signed: np.ndarray) -> _BinarySvm:
         alpha, b = _smo(K, y_signed, cfg.svm_c)

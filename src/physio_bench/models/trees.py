@@ -259,15 +259,15 @@ def _splitter(X: np.ndarray, cfg: TrainConfig):
 def _grow(splitter, split, leaf, max_depth: int | None,
           max_leaves: int | None) -> Tree:
     """Best-first growth. `split(rows)` gives a node's (gain, feature,
-    threshold), feature -1 for none; `leaf(idx)` gives a leaf's payload.
+    threshold), feature -1 for none; `leaf(rows)` gives a leaf's payload.
     The frontier pops the splittable leaf of highest gain, ties to the
     earliest pushed, until none is left or max_leaves leaves exist; nodes
     at max_depth are not split. The nodes are then renumbered in preorder."""
-    nodes: list[list] = []   # [feature, threshold, left, right, row indices]
+    nodes: list[list] = []   # [feature, threshold, left, right, rows]
     frontier: list = []
 
     def add(rows, depth) -> int:
-        nodes.append([LEAF, 0.0, LEAF, LEAF, rows[0]])
+        nodes.append([LEAF, 0.0, LEAF, LEAF, rows])
         if max_depth is None or depth < max_depth:
             gain, j, thr = split(rows)
             if j >= 0:   # node numbers rise with each push, so they order ties
@@ -289,17 +289,17 @@ def _grow(splitter, split, leaf, max_depth: int | None,
             stack += (r, l)
     rank = np.empty(len(order), dtype=np.intp)
     rank[order] = np.arange(len(order))
-    feature, threshold, left, right, idx = zip(*(nodes[i] for i in order))
+    feature, threshold, left, right, rows = zip(*(nodes[i] for i in order))
     feature = np.array(feature, dtype=np.intp)
     inner = feature != LEAF
     leaves = np.flatnonzero(~inner)
-    payload = np.array([leaf(idx[i]) for i in leaves], dtype=np.float64)
+    payload = np.array([leaf(rows[i]) for i in leaves], dtype=np.float64)
     value = np.zeros((len(order), payload.shape[1]))
     value[leaves] = payload
     return Tree(feature, np.array(threshold, dtype=np.float64),
                 np.where(inner, rank[np.array(left)], LEAF),
                 np.where(inner, rank[np.array(right)], LEAF),
-                value, np.array([len(i) for i in idx], dtype=np.float64))
+                value, np.array([len(r[0]) for r in rows], dtype=np.float64))
 
 
 def grow_regression_tree(X, g, h, cfg: TrainConfig,
@@ -318,7 +318,8 @@ def grow_regression_tree(X, g, h, cfg: TrainConfig,
             return MIN_GAIN, -1, 0.0
         return splitter.best_split(rows, g, h, lam, min_leaf)
 
-    def leaf(idx):
+    def leaf(rows):
+        idx = rows[0]
         fitted[idx] = w = g[idx].sum() / (h[idx].sum() + lam)   # the Newton step
         return [w]
 
@@ -408,8 +409,8 @@ class _GiniForest:
         # `order` ends holding each node's positions in the node's slots.
         lens, base = np.full(T, n), n * np.arange(T)
         order = np.empty(N, dtype=np.intp)
-        # Per level, per node: slot start, cover, gain, feature, threshold
-        # and left child.
+        # Per level, per node: slot start, cover, gain, feature, threshold,
+        # left child and class counts.
         levels = []
         n_nodes = depth = 0
         while len(lens):
@@ -420,7 +421,7 @@ class _GiniForest:
             # Every node a leaf, until the search below fills in the splits.
             gain, j, thr = np.full(S, MIN_GAIN), np.full(S, LEAF), np.zeros(S)
             child = np.full(S, LEAF)
-            levels.append((base, lens, gain, j, thr, child))
+            levels.append((base, lens, gain, j, thr, child, counts))
             n_nodes += S
             search = (counts.max(axis=1) < lens) & (lens >= 2 * min_leaf)
             if not search.any() or (max_depth is not None and depth >= max_depth):
@@ -448,9 +449,11 @@ class _GiniForest:
             lens = np.column_stack([n_left, lens[split] - n_left]).ravel()
             depth += 1
         self.rows = order % n
+        *columns, counts = zip(*levels)
         self.start, self.cover, gain, j, thr, self.left = (
-            np.concatenate(column).tolist() for column in zip(*levels))
+            np.concatenate(column).tolist() for column in columns)
         self.found = list(zip(gain, j, thr))
+        self.counts = np.concatenate(counts)
 
     def node(self, i: int):
         return self.rows[self.start[i]:self.start[i] + self.cover[i]], i
@@ -474,6 +477,10 @@ class _ForestTree:
         left = self.forest.left[rows[1]]
         return self.forest.node(left), self.forest.node(left + 1)
 
+    def leaf(self, rows):
+        """The node's class distribution, from the counts of its level."""
+        return self.forest.counts[rows[1]] / len(rows[0])
+
 
 def grow_gini_tree(X, y, n_classes: int, features: np.ndarray,
                    max_depth: int | None, min_leaf: int, splitter=None) -> Tree:
@@ -486,10 +493,7 @@ def grow_gini_tree(X, y, n_classes: int, features: np.ndarray,
                              np.asarray(features)[None], max_depth, min_leaf)
         splitter = _ForestTree(forest, 0)
 
-    def leaf(idx):
-        return np.bincount(y[idx], minlength=n_classes) / len(idx)
-
-    tree = _grow(splitter, splitter.split, leaf, max_depth, None)
+    tree = _grow(splitter, splitter.split, splitter.leaf, max_depth, None)
     inner = tree.feature != LEAF
     tree.feature[inner] = features[tree.feature[inner]]
     return tree

@@ -142,6 +142,26 @@ class TestEvaluateLoso:
         doc = json.loads(capfd.readouterr().err.strip().splitlines()[-1])
         assert doc["error"]["type"] == "SingleClass"
 
+    @pytest.mark.parametrize("model", ["logistic", "svm", "knn", "boosting", "bagging"])
+    def test_overflowing_column_spread_is_data_error(self, tmp_path, monkeypatch,
+                                                     capfd, model):
+        # 1e308 is finite, but the column's spread is not: every model
+        # family rejects the table instead of standardizing it to zeros.
+        _feature_csv(tmp_path / "t.csv", "stress_16")
+        lines = (tmp_path / "t.csv").read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[3] = "1e308"
+        lines[5] = ",".join(cells)
+        (tmp_path / "t.csv").write_text("\n".join(lines) + "\n")
+        code = _run(tmp_path, monkeypatch, [
+            "evaluate", "--features", "t.csv", "--model", model, "--trees", "3",
+            "--out", "run"])
+        assert code == 3
+        err = capfd.readouterr().err
+        assert "Warning" not in err
+        assert json.loads(err.strip().splitlines()[-1])["error"]["type"] == "SchemaMismatch"
+        assert not (tmp_path / "run").exists()
+
     def test_loso_equals_evaluate_split_loso(self, tmp_path, monkeypatch):
         _feature_csv(tmp_path / "t.csv", "stress_16")
         common = ["--features", "t.csv", "--trees", "5", "--seed", "3"]

@@ -3,7 +3,9 @@
 import heapq
 import itertools
 import json
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from physio_bench.models import (
 )
 from physio_bench.models.base import ColumnStats, class_order, encode_labels, softmax
 from physio_bench.models.logistic import _loss_grad
-from physio_bench.models import svm, trees
+from physio_bench.models import logistic, svm, trees
 from physio_bench.models.trees import LEAF, MIN_GAIN, grow_gini_tree
 
 
@@ -123,6 +125,145 @@ class TestLogistic:
         model.bias = np.zeros_like(model.bias)
         probs = model.predict_proba(data.X[:5])
         assert np.allclose(probs, 0.5)
+
+
+def _gd_logistic(Z, Y, l2):
+    """The gradient descent that fitted the logistic model before Newton's
+    method: full-batch steps with Armijo backtracking and a step that
+    grows by 1.5 after each accepted one, stopped at a gradient
+    infinity-norm of 1e-6 or after 5000 steps. Returns W, b, loss and the
+    number of `_loss_grad` calls."""
+    K, d = Y.shape[1], Z.shape[1]
+    W, b = np.zeros((K, d)), np.zeros(K)
+    loss, gW, gb = _loss_grad(Z, Y, W, b, l2)
+    calls, step = 1, 1.0
+    for _ in range(5000):
+        if max(np.abs(gW).max(), np.abs(gb).max()) < 1e-6:
+            break
+        g_sq = float((gW * gW).sum() + (gb * gb).sum())
+        accepted = False
+        while step >= 1e-12:
+            W_new, b_new = W - step * gW, b - step * gb
+            new_loss, gW_new, gb_new = _loss_grad(Z, Y, W_new, b_new, l2)
+            calls += 1
+            if new_loss <= loss - 1e-4 * step * g_sq:
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            break
+        W, b, loss, gW, gb = W_new, b_new, new_loss, gW_new, gb_new
+        step = min(step * 1.5, 1e4)
+    return W, b, loss, calls
+
+
+def _logistic_problem(K, n, d, seed):
+    """Rows whose class is the argmax of a random linear score plus noise,
+    and fresh rows drawn the same way."""
+    rng = np.random.default_rng([seed, K, n, d])
+    X = rng.normal(size=(2 * n, d))
+    score = X @ rng.normal(size=(d, K)) + rng.normal(size=(2 * n, K))
+    y = np.argmax(score, axis=1)
+    y[:K] = np.arange(K)   # every class is present
+    labels = np.array([f"c{k}" for k in y], dtype=object)
+    groups = np.array([f"s{i % 4}" for i in range(n)], dtype=object)
+    return (DataMatrix(X[:n], labels[:n], groups, [f"f{j}" for j in range(d)]),
+            X[n:])
+
+
+def _objective(model, data, l2):
+    """The fitted model's (Z, Y, loss, gradient infinity-norm)."""
+    Z = model.stats.transform(data.X)
+    Y = np.eye(len(model.classes))[encode_labels(data.labels, model.classes)]
+    loss, gW, gb = _loss_grad(Z, Y, model.weights, model.bias, l2)
+    return Z, Y, loss, max(np.abs(gW).max(), np.abs(gb).max())
+
+
+class TestLogisticNewton:
+    @pytest.mark.parametrize("K", [2, 3])
+    @pytest.mark.parametrize("l2", [0.1, 1.0, 10.0])
+    def test_matches_the_gradient_descent_oracle(self, K, l2):
+        for seed in range(6):
+            n, d = 20 + 8 * seed, 1 + seed % 5
+            data, fresh = _logistic_problem(K, n, d, seed)
+            model = train_logistic(data, TrainConfig(kind="logistic", l2=l2))
+            Z, Y, loss, gnorm = _objective(model, data, l2)
+            W, b, gd_loss, _ = _gd_logistic(Z, Y, l2)
+            assert gnorm < logistic.GRAD_TOL
+            assert loss <= gd_loss + 1e-12
+            Zf = model.stats.transform(fresh)
+            assert np.array_equal(np.argmax(Zf @ model.weights.T + model.bias, axis=1),
+                                  np.argmax(Zf @ W.T + b, axis=1))
+            assert abs(model.bias.sum()) <= 1e-12
+
+    def test_few_steps_where_gradient_descent_needs_many(self, monkeypatch):
+        # Nearly collinear columns and a weak penalty: an ill-conditioned
+        # objective.
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(60, 1))
+        X = np.hstack([x, x + 1e-2 * rng.normal(size=(60, 1)), rng.normal(size=(60, 1))])
+        labels = np.where(x[:, 0] + 0.5 * rng.normal(size=60) > 0, "b", "a").astype(object)
+        data = DataMatrix(X, labels, np.array(["s0"] * 60, dtype=object), ["f0", "f1", "f2"])
+        cfg = TrainConfig(kind="logistic", l2=0.01)
+        model = train_logistic(data, cfg)
+        Z, Y, loss, gnorm = _objective(model, data, cfg.l2)
+        assert _gd_logistic(Z, Y, cfg.l2)[3] > 1000
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return _loss_grad(*args)
+
+        monkeypatch.setattr(logistic, "_loss_grad", counted)
+        again = train_logistic(data, cfg)
+        assert len(calls) <= 30
+        assert gnorm < logistic.GRAD_TOL
+        assert np.array_equal(again.weights, model.weights)
+
+    def test_hessian_matches_central_differences(self):
+        rng = np.random.default_rng(4)
+        n, d, K, l2 = 30, 3, 3, 0.7
+        Z = rng.normal(size=(n, d))
+        Y = np.eye(K)[rng.integers(0, K, size=n)]
+        theta = rng.normal(scale=0.5, size=(K, d + 1))
+        H = logistic._hessian(np.column_stack([Z, np.ones(n)]),
+                              softmax(Z @ theta[:, :d].T + theta[:, d]), l2)
+
+        def grad(t):
+            t = t.reshape(K, d + 1)
+            _, gW, gb = _loss_grad(Z, Y, t[:, :d], t[:, d], l2)
+            return np.column_stack([gW, gb]).ravel()
+
+        eps = 1e-6
+        for i in range(K * (d + 1)):
+            e = np.zeros(K * (d + 1))
+            e[i] = eps
+            fd = (grad(theta.ravel() + e) - grad(theta.ravel() - e)) / (2 * eps)
+            assert np.abs(fd - H[:, i]).max() < 1e-7
+
+    def test_debug_log_names_steps_calls_and_stop(self, caplog, monkeypatch):
+        data, _ = _logistic_problem(3, 40, 3, 0)
+        caplog.set_level(logging.DEBUG, logger=logistic.__name__)
+        train_logistic(data, TrainConfig(kind="logistic"))
+        monkeypatch.setattr(logistic, "MAX_ITER", 1)
+        train_logistic(data, TrainConfig(kind="logistic"))
+        converged, capped = (r.getMessage() for r in caplog.records
+                             if r.name == logistic.__name__)
+        assert re.fullmatch(r"logistic fit: 40 rows, \d+ Newton steps, \d+ _loss_grad "
+                            r"calls, gradient \S+, converged", converged)
+        assert float(converged.split("gradient ")[1].split(",")[0]) < logistic.GRAD_TOL
+        assert capped.startswith("logistic fit: 40 rows, 1 Newton steps, ")
+        assert capped.endswith(", MAX_ITER")
+
+    def test_no_descent_step_stops_without_a_rise(self, caplog, monkeypatch):
+        # A Newton direction that points uphill is never taken.
+        data, _ = _logistic_problem(2, 30, 2, 1)
+        monkeypatch.setattr(logistic.np.linalg, "lstsq",
+                            lambda H, g, rcond: (-g,))
+        caplog.set_level(logging.DEBUG, logger=logistic.__name__)
+        model = train_logistic(data, TrainConfig(kind="logistic"))
+        assert np.all(model.weights == 0) and np.all(model.bias == 0)
+        assert caplog.records[-1].getMessage().endswith(", no descent step")
 
 
 class TestKnn:
@@ -873,6 +1014,20 @@ class TestSvm:
             if abs(shortfall) > 1e-5 * max(1.0, abs(best)):
                 short[seed] = shortfall
         assert short == {}
+
+    @pytest.mark.parametrize("block", [1, 7, 1000, None])
+    def test_blocked_distances_equal_the_one_shot_expression(self, monkeypatch, block):
+        rng = np.random.default_rng(11)
+        A = rng.normal(size=(300, 8))   # 720,000 differences: several default blocks
+        B = rng.normal(size=(45, 8))
+        monkeypatch.setattr(svm, "BLOCK_ELEMS", block or svm.BLOCK_ELEMS)
+        for P, Q in ((A, A), (A, B), (B, A)):
+            d2 = ((P[:, None, :] - Q[None, :, :]) ** 2).sum(axis=2)
+            assert np.array_equal(rbf_matrix(P, Q, 1.3), np.exp(-d2 / (2.0 * 1.3 * 1.3)))
+        d2 = ((A[:, None, :] - A[None, :, :]) ** 2).sum(axis=2)
+        one_shot = float(np.median(np.sqrt(d2[np.triu_indices(len(A), k=1)])))
+        assert svm.median_pairwise_distance(A) == one_shot
+        assert svm.median_pairwise_distance(A[:1]) == 1.0
 
     def test_stops_below_the_kkt_gap(self):
         data = _blobs(n=60, gap=1.0, seed=8)
