@@ -243,15 +243,19 @@ def class_summary(attributions: list[Attribution],
 
     For each class: that class's phi over its own windows, with the mean
     phi, mean |phi|, and the Pearson correlation between feature value and
-    phi per feature.
+    phi per feature. A label that is not a class of the model raises
+    SchemaMismatch.
     """
     if len(attributions) != len(labels):
         raise SchemaMismatch("labels must align with attributions")
     names = attributions[0].feature_names
+    classes = attributions[0].classes
     out: dict[str, list[dict]] = {}
     for cls in sorted(set(str(v) for v in labels)):
+        if cls not in classes:
+            raise SchemaMismatch(f"label {cls!r} is not a class of the model: {classes}")
         rows = [a for a, l in zip(attributions, labels) if str(l) == cls]
-        ci = attributions[0].classes.index(cls) if cls in attributions[0].classes else 0
+        ci = classes.index(cls)
         phi = np.array([a.phi[ci] for a in rows])
         vals = np.array([a.x for a in rows])
         table = []

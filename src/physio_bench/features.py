@@ -479,7 +479,10 @@ def table_from_csv(text: str, schema_name: str = "custom") -> FeatureTable:
         if len(fields) != 3 + len(schema):
             raise SchemaMismatch(f"row {i + 2} has {len(fields)} fields")
         subjects[i] = fields[0]
-        starts[i] = float(fields[1])
         labels[i] = fields[2]
-        X[i] = [float(v) for v in fields[3:]]
+        try:
+            starts[i] = float(fields[1])
+            X[i] = [float(v) for v in fields[3:]]
+        except ValueError as e:
+            raise SchemaMismatch(f"row {i + 2} has a non-numeric field ({e})") from None
     return FeatureTable(schema, X, subjects, starts, labels)

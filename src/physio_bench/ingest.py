@@ -285,8 +285,20 @@ class ManifestEntry:
     times: str = "absolute"  # or "relative": offsets from the EDA start epoch
 
 
+def _objects(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, dict) for v in value)
+
+
+def _number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def load_manifest(path: str | Path) -> tuple[list[ManifestEntry], Path]:
-    """Load a dataset manifest; session paths resolve relative to it."""
+    """Load a dataset manifest; session paths resolve relative to it. A
+    manifest that is not an object, sessions or segments that are not
+    lists of objects, and a segment time or performance score that is not
+    a finite number raise DataError."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -294,12 +306,16 @@ def load_manifest(path: str | Path) -> tuple[list[ManifestEntry], Path]:
         raise DataError(f"manifest not found: {path}") from None
     except json.JSONDecodeError as e:
         raise DataError(f"manifest is not valid JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise DataError("manifest must be a JSON object")
     unknown = set(doc) - _MANIFEST_KEYS
     if unknown:
         raise DataError(f"unknown manifest keys: {sorted(unknown)}")
     default_times = doc.get("segment_times", "absolute")
     if default_times not in ("absolute", "relative"):
         raise DataError(f"segment_times must be 'absolute' or 'relative', got {default_times!r}")
+    if not _objects(doc.get("sessions", [])):
+        raise DataError("manifest sessions must be a list of objects")
     entries = []
     for raw in doc.get("sessions", []):
         unknown = set(raw) - _SESSION_KEYS
@@ -307,9 +323,18 @@ def load_manifest(path: str | Path) -> tuple[list[ManifestEntry], Path]:
             raise DataError(f"unknown session keys: {sorted(unknown)}")
         if "subject_id" not in raw or "path" not in raw:
             raise DataError("every session needs subject_id and path")
+        where = f"session {raw['subject_id']}"
+        if raw.get("times", default_times) not in ("absolute", "relative"):
+            raise DataError(f"{where}: times must be 'absolute' or 'relative'")
+        if raw.get("performance_score") is not None and not _number(raw["performance_score"]):
+            raise DataError(f"{where}: performance_score must be a number")
+        if not _objects(raw.get("segments", [])):
+            raise DataError(f"{where}: segments must be a list of objects")
         for seg in raw.get("segments", []):
             if set(seg) - _SEGMENT_KEYS:
                 raise DataError(f"unknown segment keys: {sorted(set(seg) - _SEGMENT_KEYS)}")
+            if not (_number(seg.get("t_start")) and _number(seg.get("t_end"))):
+                raise DataError(f"{where}: every segment needs numeric t_start and t_end")
         entries.append(
             ManifestEntry(
                 subject_id=str(raw["subject_id"]),

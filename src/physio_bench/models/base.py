@@ -280,3 +280,20 @@ def argmax_class(probs: np.ndarray, classes: list[str]) -> np.ndarray:
     """Highest-probability class per row, smallest class index on ties."""
     idx = np.argmax(probs, axis=1)
     return np.array([classes[i] for i in idx], dtype=object)
+
+
+#: Elements of the (rows, m, d) difference array of one block of
+#: `sq_dists`. It bounds the temporary; the distances do not depend on it.
+BLOCK_ELEMS = 1 << 18
+
+
+def sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance of every row of A to every row of B,
+    in blocks of A's rows. Each entry is the sum of one contiguous row of
+    squared differences, the same reduction whatever the block size."""
+    m, d = B.shape
+    step = max(1, BLOCK_ELEMS // max(1, m * d))
+    d2 = np.empty((A.shape[0], m))
+    for i in range(0, A.shape[0], step):
+        d2[i:i + step] = ((A[i:i + step, None, :] - B[None, :, :]) ** 2).sum(axis=2)
+    return d2

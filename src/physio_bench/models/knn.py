@@ -21,6 +21,7 @@ from .base import (
     encode_labels,
     index_field,
     require_multiclass,
+    sq_dists,
 )
 
 
@@ -37,7 +38,7 @@ class KnnModel(Model):
 
     def _neighbors(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         Z = self.stats.transform(self._rows(X))
-        d2 = ((Z[:, None, :] - self.points[None, :, :]) ** 2).sum(axis=2)
+        d2 = sq_dists(Z, self.points)
         order = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
         dist = np.sqrt(np.take_along_axis(d2, order, axis=1))
         return order, dist

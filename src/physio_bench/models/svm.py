@@ -46,6 +46,7 @@ from .base import (
     class_order,
     encode_labels,
     require_multiclass,
+    sq_dists,
 )
 
 KKT_TOL = 1e-3
@@ -66,23 +67,6 @@ def rbf_kernel(z1: np.ndarray, z2: np.ndarray, sigma: float) -> float:
     return float(np.exp(-d2 / (2.0 * sigma * sigma)))
 
 
-#: Elements of the (rows, m, d) difference array of one block of
-#: `_sq_dists`. It bounds the temporary; the distances do not depend on it.
-BLOCK_ELEMS = 1 << 18
-
-
-def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distance of every row of A to every row of B,
-    in blocks of A's rows. Each entry is the sum of one contiguous row of
-    squared differences, the same reduction whatever the block size."""
-    m, d = B.shape
-    step = max(1, BLOCK_ELEMS // max(1, m * d))
-    d2 = np.empty((A.shape[0], m))
-    for i in range(0, A.shape[0], step):
-        d2[i:i + step] = ((A[i:i + step, None, :] - B[None, :, :]) ** 2).sum(axis=2)
-    return d2
-
-
 def _rbf(d2: np.ndarray, sigma: float) -> np.ndarray:
     return np.exp(-d2 / (2.0 * sigma * sigma))
 
@@ -99,12 +83,12 @@ def _median_distance(d2: np.ndarray) -> float:
 def rbf_matrix(A: np.ndarray, B: np.ndarray, sigma: float) -> np.ndarray:
     if not sigma > 0:
         raise NonPositiveSigma(f"sigma must be > 0, got {sigma}")
-    return _rbf(_sq_dists(A, B), sigma)
+    return _rbf(sq_dists(A, B), sigma)
 
 
 def median_pairwise_distance(Z: np.ndarray) -> float:
     """Median Euclidean distance between distinct rows (the sigma heuristic)."""
-    return _median_distance(_sq_dists(Z, Z))
+    return _median_distance(sq_dists(Z, Z))
 
 
 @dataclass
@@ -214,7 +198,7 @@ def train_svm_rbf(data: DataMatrix, cfg: TrainConfig) -> SvmModel:
     y_idx = encode_labels(data.labels, classes)
     stats = ColumnStats.fit(data.X)
     Z = stats.transform(data.X)
-    d2 = _sq_dists(Z, Z)   # one distance pass gives sigma and the kernel
+    d2 = sq_dists(Z, Z)   # one distance pass gives sigma and the kernel
     sigma = cfg.svm_sigma if cfg.svm_sigma is not None else _median_distance(d2)
     K = _rbf(d2, sigma)
 

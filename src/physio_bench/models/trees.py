@@ -9,11 +9,13 @@ probability) and assigns leaves their Newton step, sum(residual) /
 (sum(p(1-p)) + lambda). With two classes the two trees of a round mirror
 each other, so a round grows one logistic tree on class 0's residual and
 stores its mirror, negated leaves on the same structure, for class 1
-(Friedman, Ann. Stat. 2001). One best-first grower builds every tree,
-splitting the frontier leaf of highest gain next: leaf-wise growth caps
-the leaf count, and level-wise growth is the uncapped case under a depth
-limit (Ke et al., NeurIPS 2017). Trees are stored in preorder. Split
-search is exact or by 64-bin histograms.
+(Friedman, Ann. Stat. 2001). Regression trees grow best-first, splitting
+the frontier leaf of highest gain next: leaf-wise growth caps the leaf
+count, and level-wise growth is the uncapped case under a depth limit
+(Ke et al., NeurIPS 2017). Their split search is exact or by 64-bin
+histograms. Gini trees are read straight off a block search (below).
+Every tree is stored in preorder, by one renumbering that serves both
+kinds.
 
 Split search is one splitter object per boosting fit, shared by every
 round and class since X never changes. Exact mode presorts each column
@@ -25,11 +27,12 @@ feature-offset codes (Ke et al., NeurIPS 2017). Bagging searches exactly,
 and for a block of trees at once: their bootstrap samples lie side by
 side in one presorted column block, every node of a tree level is a
 contiguous run of it, and each level scores the nodes of all the block's
-trees in one pass and partitions them with one stable argsort. Gini class
-counts are exact integers, so each tree equals one grown alone. Either
-way a node is scored over a (features, cuts) array of cumulative per-row
-statistics; ties go to the first maximal cut of a feature, then to the
-first feature in column order.
+trees in one pass and partitions them with one stable argsort. The search
+keeps every node's split, cover and class counts, from which each tree is
+renumbered directly. Gini class counts are exact integers, so each tree
+equals one grown alone. Either way a node is scored over a (features,
+cuts) array of cumulative per-row statistics; ties go to the first
+maximal cut of a feature, then to the first feature in column order.
 
 Trees store per-node training cover so path-dependent SHAP can compute
 conditional expectations without a background sample.
@@ -256,20 +259,50 @@ def _splitter(X: np.ndarray, cfg: TrainConfig):
     return _Histogram(X, cfg.n_bins) if cfg.splits == "hist" else _Presorted(X)
 
 
-def _grow(splitter, split, leaf, max_depth: int | None,
-          max_leaves: int | None) -> Tree:
-    """Best-first growth. `split(rows)` gives a node's (gain, feature,
-    threshold), feature -1 for none; `leaf(rows)` gives a leaf's payload.
-    The frontier pops the splittable leaf of highest gain, ties to the
-    earliest pushed, until none is left or max_leaves leaves exist; nodes
-    at max_depth are not split. The nodes are then renumbered in preorder."""
+def _in_preorder(root, feature, threshold, left, right, value, cover) -> Tree:
+    """The tree under node `root` of per-node arrays, renumbered in
+    preorder: each node, then its left subtree, then its right. The
+    children given for a LEAF node are ignored."""
+    order, stack = [], [root]
+    while stack:
+        i = stack.pop()
+        order.append(i)
+        if feature[i] != LEAF:
+            stack += (right[i], left[i])
+    rank = np.empty(len(feature), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    feature = np.asarray(feature, dtype=np.intp)[order]
+    inner = feature != LEAF
+    return Tree(feature, np.asarray(threshold, dtype=np.float64)[order],
+                np.where(inner, rank[np.asarray(left)[order]], LEAF),
+                np.where(inner, rank[np.asarray(right)[order]], LEAF),
+                np.asarray(value, dtype=np.float64)[order],
+                np.asarray(cover, dtype=np.float64)[order])
+
+
+def grow_regression_tree(X, g, h, cfg: TrainConfig,
+                         splitter=None) -> tuple[Tree, np.ndarray]:
+    """Newton regression tree on (gradient, hessian); returns the tree and
+    each training row's fitted leaf value. `splitter` is built from X when
+    None; a boosting fit passes one splitter to all of its trees.
+
+    Growth is best-first: the frontier pops the splittable leaf of highest
+    gain, ties to the earliest pushed, until none is left or max_leaves
+    leaves exist (leaf-wise growth). Level-wise growth caps no leaves and
+    splits no node at max_depth."""
+    if splitter is None:
+        splitter = _splitter(X, cfg)
+    lam = cfg.reg_lambda
+    min_leaf = cfg.resolved_min_leaf
+    max_depth, max_leaves = ((cfg.resolved_max_depth, None) if cfg.growth == "depth"
+                             else (None, cfg.max_leaves))
     nodes: list[list] = []   # [feature, threshold, left, right, rows]
     frontier: list = []
 
     def add(rows, depth) -> int:
         nodes.append([LEAF, 0.0, LEAF, LEAF, rows])
-        if max_depth is None or depth < max_depth:
-            gain, j, thr = split(rows)
+        if (max_depth is None or depth < max_depth) and len(rows[0]) >= 2 * min_leaf:
+            gain, j, thr = splitter.best_split(rows, g, h, lam, min_leaf)
             if j >= 0:   # node numbers rise with each push, so they order ties
                 heapq.heappush(frontier, (-gain, len(nodes) - 1, rows, j, thr, depth))
         return len(nodes) - 1
@@ -281,51 +314,14 @@ def _grow(splitter, split, leaf, max_depth: int | None,
         rows_l, rows_r = splitter.partition(rows, j, thr)
         nodes[node][:4] = j, thr, add(rows_l, depth + 1), add(rows_r, depth + 1)
 
-    order, stack = [], [0]
-    while stack:
-        order.append(stack.pop())
-        f, _, l, r, _ = nodes[order[-1]]
-        if f != LEAF:
-            stack += (r, l)
-    rank = np.empty(len(order), dtype=np.intp)
-    rank[order] = np.arange(len(order))
-    feature, threshold, left, right, rows = zip(*(nodes[i] for i in order))
-    feature = np.array(feature, dtype=np.intp)
-    inner = feature != LEAF
-    leaves = np.flatnonzero(~inner)
-    payload = np.array([leaf(rows[i]) for i in leaves], dtype=np.float64)
-    value = np.zeros((len(order), payload.shape[1]))
-    value[leaves] = payload
-    return Tree(feature, np.array(threshold, dtype=np.float64),
-                np.where(inner, rank[np.array(left)], LEAF),
-                np.where(inner, rank[np.array(right)], LEAF),
-                value, np.array([len(r[0]) for r in rows], dtype=np.float64))
-
-
-def grow_regression_tree(X, g, h, cfg: TrainConfig,
-                         splitter=None) -> tuple[Tree, np.ndarray]:
-    """Newton regression tree on (gradient, hessian); returns the tree and
-    each training row's fitted leaf value. `splitter` is built from X when
-    None; a boosting fit passes one splitter to all of its trees."""
-    if splitter is None:
-        splitter = _splitter(X, cfg)
-    lam = cfg.reg_lambda
-    min_leaf = cfg.resolved_min_leaf
+    feature, threshold, left, right, rows = zip(*nodes)
     fitted = np.empty(len(g))
-
-    def split(rows):
-        if len(rows[0]) < 2 * min_leaf:
-            return MIN_GAIN, -1, 0.0
-        return splitter.best_split(rows, g, h, lam, min_leaf)
-
-    def leaf(rows):
-        idx = rows[0]
-        fitted[idx] = w = g[idx].sum() / (h[idx].sum() + lam)   # the Newton step
-        return [w]
-
-    if cfg.growth == "depth":
-        return _grow(splitter, split, leaf, cfg.resolved_max_depth, None), fitted
-    return _grow(splitter, split, leaf, None, cfg.max_leaves), fitted
+    value = np.zeros((len(nodes), 1))
+    for i in np.flatnonzero(np.array(feature) == LEAF):
+        idx = rows[i][0]
+        fitted[idx] = value[i, 0] = g[idx].sum() / (h[idx].sum() + lam)   # the Newton step
+    return _in_preorder(0, feature, threshold, left, right, value,
+                        [len(r[0]) for r in rows]), fitted
 
 
 #: Trees per `_GiniForest` block of a bagging fit. It bounds the fit's
@@ -390,8 +386,10 @@ class _GiniForest:
     block. Every open node is a run of R in which each feature's positions
     ascend by value, ties by position, as a stable argsort of the node's
     own rows orders them; one stable argsort of child keys per level keeps
-    that order. Nodes are numbered level by level, tree t's root is node
-    t, and a node's rows are (its tree-local row indices, its number)."""
+    that order. Nodes are numbered level by level and tree t's root is node
+    t. Per node the search keeps the cover, the local feature (LEAF at a
+    leaf), the threshold, the left child (the right child is the next
+    node) and a leaf's class distribution (zeros inside)."""
 
     def __init__(self, X, y, n_classes: int, rows: np.ndarray, feats: np.ndarray,
                  max_depth: int | None, min_leaf: int):
@@ -404,35 +402,27 @@ class _GiniForest:
         R = np.argsort(Xt, axis=2, kind="stable").reshape(F, N)
         R += np.repeat(n * np.arange(T), n) + N * np.arange(F)[:, None]
         Xt, yF = Xt.ravel(), np.tile(yb.astype(np.min_scalar_type(K)), F)
-        # Node i owns slots base to base + lens of `order`, and a split gives
-        # its left child the first n_left of them. Written at every level,
-        # `order` ends holding each node's positions in the node's slots.
-        lens, base = np.full(T, n), n * np.arange(T)
-        order = np.empty(N, dtype=np.intp)
-        # Per level, per node: slot start, cover, gain, feature, threshold,
-        # left child and class counts.
-        levels = []
+        lens = np.full(T, n)
+        levels = []   # per level, per node: cover, feature, threshold, left child, class counts
         n_nodes = depth = 0
         while len(lens):
             S = len(lens)
             seg = np.repeat(np.arange(S), lens)
-            order[np.repeat(base - np.cumsum(lens) + lens, lens) + np.arange(len(seg))] = R[0]
             counts = np.bincount(seg * K + yb[R[0]], minlength=S * K).reshape(S, K)
             # Every node a leaf, until the search below fills in the splits.
-            gain, j, thr = np.full(S, MIN_GAIN), np.full(S, LEAF), np.zeros(S)
-            child = np.full(S, LEAF)
-            levels.append((base, lens, gain, j, thr, child, counts))
+            j, thr, child = np.full(S, LEAF), np.zeros(S), np.full(S, LEAF)
+            levels.append((lens, j, thr, child, counts))
             n_nodes += S
             search = (counts.max(axis=1) < lens) & (lens >= 2 * min_leaf)
             if not search.any() or (max_depth is not None and depth >= max_depth):
                 break
             if not search.all():   # score the searchable nodes only
                 R = R.compress(np.repeat(search, lens), axis=1)
-                lens, base, counts = lens[search], base[search], counts[search]
+                lens, counts = lens[search], counts[search]
             bg, jj, tt = _gini_cuts(Xt, yF, R, lens, counts, min_leaf)
             split = bg > MIN_GAIN
             at = np.flatnonzero(search)[split]
-            gain[at], j[at], thr[at] = bg[split], jj[split], tt[split]
+            j[at], thr[at] = jj[split], tt[split]
             child[at] = n_nodes + 2 * np.arange(len(at))
             # Children in node order, each left then right; the nodes that
             # did not split sort last and are dropped.
@@ -445,55 +435,26 @@ class _GiniForest:
             key = np.repeat(key.astype(np.min_scalar_type(2 * len(at) + 1)), lens) + ~L
             perm = np.argsort(key, axis=1, kind="stable")[:, :lens[split].sum()]
             R = np.take(R, perm + R.shape[1] * np.arange(F)[:, None])
-            base = np.column_stack([base[split], base[split] + n_left]).ravel()
             lens = np.column_stack([n_left, lens[split] - n_left]).ravel()
             depth += 1
-        self.rows = order % n
-        *columns, counts = zip(*levels)
-        self.start, self.cover, gain, j, thr, self.left = (
-            np.concatenate(column).tolist() for column in columns)
-        self.found = list(zip(gain, j, thr))
-        self.counts = np.concatenate(counts)
-
-    def node(self, i: int):
-        return self.rows[self.start[i]:self.start[i] + self.cover[i]], i
-
-
-@dataclass
-class _ForestTree:
-    """Tree t of a `_GiniForest` search, as `_grow`'s splitter. Its root is
-    node t; node i's children are nodes left[i] and left[i] + 1."""
-
-    forest: _GiniForest
-    t: int
-
-    def root(self):
-        return self.forest.node(self.t)
-
-    def split(self, rows):
-        return self.forest.found[rows[1]]
-
-    def partition(self, rows, j, thr):
-        left = self.forest.left[rows[1]]
-        return self.forest.node(left), self.forest.node(left + 1)
-
-    def leaf(self, rows):
-        """The node's class distribution, from the counts of its level."""
-        return self.forest.counts[rows[1]] / len(rows[0])
+        self.cover, self.feature, self.threshold, self.left, counts = (
+            np.concatenate(column) for column in zip(*levels))
+        inner = self.feature != LEAF
+        self.value = np.where(inner[:, None], 0.0, counts / self.cover[:, None])
 
 
 def grow_gini_tree(X, y, n_classes: int, features: np.ndarray,
                    max_depth: int | None, min_leaf: int, splitter=None) -> Tree:
     """Gini-impurity classification tree on X[:, features]; leaves hold
-    class distributions. `splitter` is this tree of a bagging fit's
-    `_GiniForest` search; when None, the tree is searched alone, as a
-    forest of one."""
+    class distributions. `splitter` is (a bagging fit's `_GiniForest`
+    search, this tree's index in it), and the tree is read off that
+    search; when None, the tree is searched alone, as a forest of one."""
     if splitter is None:
-        forest = _GiniForest(X, y, n_classes, np.arange(len(y))[None],
-                             np.asarray(features)[None], max_depth, min_leaf)
-        splitter = _ForestTree(forest, 0)
-
-    tree = _grow(splitter, splitter.split, splitter.leaf, max_depth, None)
+        splitter = (_GiniForest(X, y, n_classes, np.arange(len(y))[None],
+                                np.asarray(features)[None], max_depth, min_leaf), 0)
+    forest, t = splitter
+    tree = _in_preorder(t, forest.feature, forest.threshold, forest.left,
+                        forest.left + 1, forest.value, forest.cover)
     inner = tree.feature != LEAF
     tree.feature[inner] = features[tree.feature[inner]]
     return tree
@@ -583,7 +544,7 @@ def train_tree_ensemble(data: DataMatrix, cfg: TrainConfig) -> TreeEnsembleModel
                               np.sort(rng.choice(d, size=n_sub, replace=False))))
             rows, feats = (np.array(a) for a in zip(*draws))
             forest = _GiniForest(X, y, K, rows, feats, depth, min_leaf)
-            trees += [grow_gini_tree(X[r], y[r], K, f, depth, min_leaf, _ForestTree(forest, i))
+            trees += [grow_gini_tree(X[r], y[r], K, f, depth, min_leaf, (forest, i))
                       for i, (r, f) in enumerate(draws)]
         return TreeEnsembleModel("bagging", classes, trees, [LEAF] * len(trees),
                                  1.0, np.zeros(K), stats, list(data.feature_names))

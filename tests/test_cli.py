@@ -92,6 +92,33 @@ class TestSynthExtract:
         report = json.loads((tmp_path / "run2/extract_report.json").read_text())
         assert "skipped" in report["report"]["sessions"]["S001"]
 
+    @pytest.mark.parametrize("doc,problem", [
+        ([{}], "must be a JSON object"),
+        ([1, 2], "must be a JSON object"),
+        ({"sessions": {"subject_id": "a", "path": "a"}}, "sessions must be a list"),
+        ({"sessions": [{"subject_id": "a", "path": "a", "segments": {"label": "x"}}]},
+         "segments must be a list"),
+        ({"sessions": [{"subject_id": "a", "path": "a", "segments": [{"t_end": 5}]}]},
+         "numeric t_start and t_end"),
+        ({"sessions": [{"subject_id": "a", "path": "a",
+                        "segments": [{"t_start": "zz", "t_end": 5}]}]},
+         "numeric t_start and t_end"),
+        ({"sessions": [{"subject_id": "a", "path": "a", "performance_score": "high"}]},
+         "performance_score must be a number"),
+        ({"sessions": [{"subject_id": "a", "path": "a", "times": "local"}]},
+         "times must be"),
+    ], ids=["list-of-object", "list-of-numbers", "sessions-not-list",
+            "segments-not-list", "no-t_start", "text-t_start", "text-score", "bad-times"])
+    def test_malformed_manifest_is_data_error(self, tmp_path, monkeypatch, capfd, doc,
+                                              problem):
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        code = _run(tmp_path, monkeypatch, ["extract", "--manifest", "m.json", "--out", "run"])
+        assert code == 3
+        err = _error(capfd)
+        assert err["type"] == "DataError"
+        assert problem in err["message"]
+        assert not (tmp_path / "run").exists()
+
 
 class TestEvaluateLoso:
     def test_evaluate_and_rerun_byte_identical(self, synth_data, tmp_path,
@@ -160,6 +187,22 @@ class TestEvaluateLoso:
         err = capfd.readouterr().err
         assert "Warning" not in err
         assert json.loads(err.strip().splitlines()[-1])["error"]["type"] == "SchemaMismatch"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("column", [1, 7], ids=["window_start", "feature"])
+    def test_non_numeric_cell_is_data_error(self, tmp_path, monkeypatch, capfd, column):
+        _feature_csv(tmp_path / "t.csv", "stress_16")
+        lines = (tmp_path / "t.csv").read_text().splitlines()
+        cells = lines[4].split(",")
+        cells[column] = "abc"
+        lines[4] = ",".join(cells)
+        (tmp_path / "t.csv").write_text("\n".join(lines) + "\n")
+        code = _run(tmp_path, monkeypatch, [
+            "evaluate", "--features", "t.csv", "--model", "logistic", "--out", "run"])
+        assert code == 3
+        err = _error(capfd)
+        assert err["type"] == "SchemaMismatch"
+        assert "row 5" in err["message"] and "abc" in err["message"]
         assert not (tmp_path / "run").exists()
 
     def test_loso_equals_evaluate_split_loso(self, tmp_path, monkeypatch):
@@ -294,6 +337,25 @@ class TestTrainExplain:
             "--out", "run"])
         assert code == 3
         assert _error(capfd)["type"] == "SchemaMismatch"
+        assert not (tmp_path / "run").exists()
+
+    def test_label_the_model_lacks_is_data_error(self, tmp_path, monkeypatch, capfd):
+        _feature_csv(tmp_path / "t.csv", "stress_16")
+        assert _run(tmp_path, monkeypatch, [
+            "train", "--features", "t.csv", "--trees", "3", "--out", "model"]) == 0
+        lines = (tmp_path / "t.csv").read_text().splitlines()
+        for i in range(1, 21):
+            cells = lines[i].split(",")
+            cells[2] = "foo"
+            lines[i] = ",".join(cells)
+        (tmp_path / "t.csv").write_text("\n".join(lines) + "\n")
+        code = _run(tmp_path, monkeypatch, [
+            "explain", "--model-path", "model/model.json", "--features", "t.csv",
+            "--out", "run"])
+        assert code == 3
+        err = _error(capfd)
+        assert err["type"] == "SchemaMismatch"
+        assert "'foo'" in err["message"]
         assert not (tmp_path / "run").exists()
 
 

@@ -31,9 +31,15 @@ from physio_bench.models import (
     rbf_kernel,
     rbf_matrix,
 )
-from physio_bench.models.base import ColumnStats, class_order, encode_labels, softmax
+from physio_bench.models.base import (
+    ColumnStats,
+    class_order,
+    encode_labels,
+    softmax,
+    sq_dists,
+)
 from physio_bench.models.logistic import _loss_grad
-from physio_bench.models import logistic, svm, trees
+from physio_bench.models import base, logistic, svm, trees
 from physio_bench.models.trees import LEAF, MIN_GAIN, grow_gini_tree
 
 
@@ -297,6 +303,23 @@ class TestKnn:
         model = train_knn(DataMatrix(X, y, g, ["f0"]),
                           TrainConfig(kind="knn", knn_k=4))
         assert model.predict_class(np.array([[0.0]]))[0] == "b"
+
+    @pytest.mark.parametrize("block", [1, 7, None])
+    def test_neighbours_equal_the_one_shot_expression(self, monkeypatch, block):
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(300, 8))
+        labels = np.array(["a", "b", "c"] * 100, dtype=object)
+        groups = np.array([f"s{i % 6}" for i in range(300)], dtype=object)
+        model = train_knn(DataMatrix(X, labels, groups, [f"f{j}" for j in range(8)]),
+                          TrainConfig(kind="knn", knn_k=5))
+        monkeypatch.setattr(base, "BLOCK_ELEMS", block or base.BLOCK_ELEMS)
+        queries = rng.normal(size=(120, 8))
+        Z = model.stats.transform(queries)
+        d2 = ((Z[:, None, :] - model.points[None, :, :]) ** 2).sum(axis=2)
+        order, dist = model._neighbors(queries)
+        expected = np.argsort(d2, axis=1, kind="stable")[:, :5]
+        assert np.array_equal(order, expected)
+        assert np.array_equal(dist, np.sqrt(np.take_along_axis(d2, expected, axis=1)))
 
     def test_k_too_large(self):
         with pytest.raises(KTooLarge):
@@ -1020,9 +1043,10 @@ class TestSvm:
         rng = np.random.default_rng(11)
         A = rng.normal(size=(300, 8))   # 720,000 differences: several default blocks
         B = rng.normal(size=(45, 8))
-        monkeypatch.setattr(svm, "BLOCK_ELEMS", block or svm.BLOCK_ELEMS)
+        monkeypatch.setattr(base, "BLOCK_ELEMS", block or base.BLOCK_ELEMS)
         for P, Q in ((A, A), (A, B), (B, A)):
             d2 = ((P[:, None, :] - Q[None, :, :]) ** 2).sum(axis=2)
+            assert np.array_equal(sq_dists(P, Q), d2)
             assert np.array_equal(rbf_matrix(P, Q, 1.3), np.exp(-d2 / (2.0 * 1.3 * 1.3)))
         d2 = ((A[:, None, :] - A[None, :, :]) ** 2).sum(axis=2)
         one_shot = float(np.median(np.sqrt(d2[np.triu_indices(len(A), k=1)])))
