@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, PhysioBenchError
+from .errors import ConfigError, PhysioBenchError, SchemaMismatch
 from .features import (
     DEFAULT_FEATURE_CONFIG,
     SCHEMA_PRESETS,
@@ -120,6 +120,7 @@ class RunConfig:
         if self.duration_s is not None and not (
                 math.isfinite(self.duration_s) and self.duration_s >= 1):
             raise ConfigError("duration_s must be finite and >= 1")
+        self.feature_config()  # validates detector fields
         self.train_config()  # validates model fields
 
     def window_policy(self) -> WindowPolicy:
@@ -350,6 +351,10 @@ def cmd_explain(cfg: RunConfig) -> dict:
             f"not {model.kind!r}"
         )
     table = _load_table(cfg)
+    unknown = sorted(set(map(str, table.labels)) - set(model.classes))
+    if unknown:
+        raise SchemaMismatch(f"label {unknown[0]!r} is not a class of the model: "
+                             f"{model.classes}")
     attributions, audit = explain_table(model, table)
     log.info("explain attributed %d rows (local accuracy ok=%s)",
              audit["rows"], audit["all_rows_within_1e-8"])

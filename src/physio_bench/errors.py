@@ -50,7 +50,7 @@ class EmptyStream(DataError):
 
 
 class RaggedRow(_LineError):
-    what = "row without 3 fields"
+    what = "row with the wrong number of fields"
 
 
 class NoChannels(DataError):

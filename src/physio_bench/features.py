@@ -25,12 +25,14 @@ NaN and are imputed downstream at model-fit time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
     InsufficientBeats,
     MissingRequiredModality,
     SchemaMismatch,
@@ -48,6 +50,13 @@ class FeatureConfig:
     scr_tonic_window_s: float = 4.0
     bvp_min_rr_s: float = 0.33
     bvp_prominence_factor: float = 0.5
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+        if self.scr_tonic_window_s <= 0:
+            raise ConfigError(f"scr_tonic_window_s must be > 0, got {self.scr_tonic_window_s}")
 
 
 DEFAULT_FEATURE_CONFIG = FeatureConfig()
@@ -176,7 +185,9 @@ def scr_peak_count(eda_samples: np.ndarray, rate_hz: float,
     if len(eda_samples) < 3:
         return 0
     phasic = phasic_component(eda_samples, rate_hz, cfg.scr_tonic_window_s)
-    min_dist = max(1, int(round(cfg.scr_min_distance_s * rate_hz)))
+    # Peaks closer than the window's length all suppress each other, so a
+    # longer spacing acts as that length; capping it keeps int() finite.
+    min_dist = max(1, int(round(min(cfg.scr_min_distance_s * rate_hz, len(phasic)))))
     return int(len(select_peaks(phasic, cfg.scr_min_prominence, min_dist)))
 
 
@@ -221,7 +232,7 @@ def detect_bvp_peaks(bvp_samples: np.ndarray, rate_hz: float,
     std = float(np.std(bvp_samples)) if len(bvp_samples) else 0.0
     if std == 0.0:
         return np.empty(0)
-    min_dist = max(1, int(round(cfg.bvp_min_rr_s * rate_hz)))
+    min_dist = max(1, int(round(min(cfg.bvp_min_rr_s * rate_hz, len(bvp_samples)))))
     peaks = select_peaks(bvp_samples, cfg.bvp_prominence_factor * std, min_dist)
     return start_epoch + peaks / rate_hz
 

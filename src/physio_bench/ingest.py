@@ -8,6 +8,14 @@ header, raw counts scaled to g by dividing by 64. ``IBI.csv``
 lists ``offset_seconds,duration_seconds`` beat events after a header line
 whose first field is the start epoch.
 
+All three file kinds share one reader: it skips blank lines, splits off
+the header lines and converts the body to a (rows, fields) array in one
+call. A non-finite header number is a `MalformedHeader`. A body row of the
+wrong width is a `RaggedRow`, a non-finite value a `NonFiniteSample` and a
+non-number a `MalformedHeader`, each naming its physical line. An IBI row
+is kept when its duration is positive and its offset exceeds the largest
+offset of the earlier rows with a positive duration.
+
 A dataset manifest is a single JSON document listing sessions with their
 subject ids, paths (relative to the manifest), label segments, and an
 optional performance score that auto-derives High/Low labels at the
@@ -139,121 +147,109 @@ class Recording:
         return min(starts), max(ends)
 
 
-def _parse_float(text: str, what: str) -> float:
+def _header_float(text: str, what: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise MalformedHeader(f"non-numeric {what}: {text!r}") from None
+    if not math.isfinite(value):
+        raise MalformedHeader(f"non-finite {what}: {text!r}")
+    return value
 
 
-def _lines(data: bytes | str) -> list[str]:
-    """Physical lines of a file, stripped; blank lines stay as ''. Only
-    LF ends a line (CRLF's CR is stripped); `str.splitlines` would also
-    split on form feeds, separators and the like inside a row."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    return [ln.strip() for ln in text.split("\n")]
-
-
-def _raise_bad_sample(physical: list[str], n_fields: int) -> NoReturn:
-    """Raise the typed error of the first malformed sample row, numbered by
-    its physical line in the file; the first two non-blank lines are the
-    header."""
+def _raise_bad_row(physical: list[str], n_header: int, n_fields: int) -> NoReturn:
+    """Raise the typed error of the first malformed body row, numbered by
+    its physical line in the file; the first `n_header` non-blank lines
+    are the header."""
     rows = 0
     for line_no, ln in enumerate(physical, 1):
         if not ln:
             continue
         rows += 1
-        if rows <= 2:
+        if rows <= n_header:
             continue
-        fields = ln.split(",") if n_fields > 1 else [ln]
+        fields = ln.split(",")
         if len(fields) != n_fields:
             raise RaggedRow(line_no, ln)
         for f in fields:
-            if not math.isfinite(_parse_float(f, "sample")):
+            try:
+                value = float(f)
+            except ValueError:
+                raise MalformedHeader(f"non-numeric sample at line {line_no}: {ln!r}") from None
+            if not math.isfinite(value):
                 raise NonFiniteSample(line_no, ln)
     raise MalformedHeader("sample body does not parse")
 
 
-def _parse_body(physical: list[str], body: list[str], n_fields: int) -> np.ndarray:
-    """The samples of the body rows, flat, converted in one call. If any row
-    is malformed, the per-line locator raises its typed error instead."""
+def _read(data: bytes | str, n_header: int, n_fields: int) -> tuple[list[str], np.ndarray]:
+    """The header lines of an E4 file, and its body converted in one call
+    to a (rows, n_fields) float array. Only LF ends a physical line
+    (`str.splitlines` would also split on form feeds inside a row); lines
+    are stripped and blank ones skipped. A malformed body row makes the
+    per-line locator raise its typed error."""
+    # The decoded text is a temporary, freed before the body is converted.
+    physical = [ln.strip() for ln in
+                (data.decode("utf-8") if isinstance(data, bytes) else data).split("\n")]
+    lines = [ln for ln in physical if ln]
+    if len(lines) < n_header:
+        raise MalformedHeader(f"file must have {n_header} header line(s), found {len(lines)}")
+    body = lines[n_header:]
     if n_fields > 1:
         if any(ln.count(",") != n_fields - 1 for ln in body):
-            _raise_bad_sample(physical, n_fields)
+            _raise_bad_row(physical, n_header, n_fields)
         body = ",".join(body).split(",") if body else []
     try:
         values = np.array(body, dtype=np.float64)
     except ValueError:
         values = None
     if values is None or not np.isfinite(values).all():
-        _raise_bad_sample(physical, n_fields)
-    return values
+        _raise_bad_row(physical, n_header, n_fields)
+    return lines[:n_header], values.reshape(-1, n_fields)
 
 
 def parse_channel(data: bytes | str) -> SampledSeries:
     """Parse a single-channel E4 file: epoch line, rate line, one sample per line."""
-    physical = _lines(data)
-    lines = [ln for ln in physical if ln]
-    if len(lines) < 2:
-        raise MalformedHeader("file must have a start-epoch line and a rate line")
-    start = _parse_float(lines[0].split(",")[0], "start epoch")
-    rate = _parse_float(lines[1].split(",")[0], "sampling rate")
+    (epoch_line, rate_line), rows = _read(data, 2, 1)
+    start = _header_float(epoch_line.split(",")[0], "start epoch")
+    rate = _header_float(rate_line.split(",")[0], "sampling rate")
     if rate <= 0:
         raise MalformedHeader(f"sampling rate must be > 0, got {rate}")
-    values = _parse_body(physical, lines[2:], 1)
-    if len(values) == 0:
+    if len(rows) == 0:
         raise EmptyStream("no samples after header")
-    return SampledSeries(start, rate, values)
+    return SampledSeries(start, rate, rows[:, 0])
 
 
 def parse_acc(data: bytes | str) -> tuple[SampledSeries, SampledSeries, SampledSeries]:
     """Parse the three-axis ACC file; raw counts are converted to g (/64)."""
-    physical = _lines(data)
-    lines = [ln for ln in physical if ln]
-    if len(lines) < 2:
-        raise MalformedHeader("ACC file must have epoch and rate header lines")
-    starts = [_parse_float(f, "start epoch") for f in lines[0].split(",")]
-    rates = [_parse_float(f, "sampling rate") for f in lines[1].split(",")]
+    (epoch_line, rate_line), rows = _read(data, 2, 3)
+    starts = [_header_float(f, "start epoch") for f in epoch_line.split(",")]
+    rates = [_header_float(f, "sampling rate") for f in rate_line.split(",")]
     if len(starts) != 3 or len(rates) != 3:
         raise MalformedHeader("ACC header lines must carry three comma-separated fields")
     if any(r <= 0 for r in rates):
         raise MalformedHeader(f"sampling rates must be > 0, got {rates}")
-    rows = _parse_body(physical, lines[2:], 3).reshape(-1, 3)
     if rows.shape[0] == 0:
         raise EmptyStream("no ACC samples after header")
-    rows = rows / ACC_COUNTS_PER_G
-    return tuple(
-        SampledSeries(starts[j], rates[j], rows[:, j].copy()) for j in range(3)
-    )
+    return tuple(SampledSeries(s, r, rows[:, j] / ACC_COUNTS_PER_G)
+                 for j, (s, r) in enumerate(zip(starts, rates)))
 
 
 def parse_ibi(data: bytes | str) -> tuple[EventSeries, int]:
     """Parse the IBI event file.
 
-    Returns the event series plus the number of rows dropped for
-    non-monotone offsets (or non-positive durations).
+    A row is kept when its duration is positive and its offset exceeds
+    every earlier kept offset. That running max is taken over the earlier
+    rows with a positive duration: a row dropped for its offset lies below
+    it anyway. Returns the event series plus the number of rows dropped.
     """
-    lines = [ln for ln in _lines(data) if ln]
-    if len(lines) < 1:
-        raise MalformedHeader("IBI file must have a header line")
-    start = _parse_float(lines[0].split(",")[0], "start epoch")
-    offsets: list[float] = []
-    durations: list[float] = []
-    dropped = 0
-    last = -math.inf
-    for ln in lines[1:]:
-        fields = ln.split(",")
-        if len(fields) != 2:
-            raise MalformedHeader(f"IBI row must be 'offset,duration': {ln!r}")
-        off = _parse_float(fields[0], "offset")
-        dur = _parse_float(fields[1], "duration")
-        if off <= last or dur <= 0:
-            dropped += 1
-            continue
-        offsets.append(off)
-        durations.append(dur)
-        last = off
-    return EventSeries(start, np.array(offsets), np.array(durations)), dropped
+    (header,), rows = _read(data, 1, 2)
+    start = _header_float(header.split(",")[0], "start epoch")
+    offsets, durations = rows[:, 0], rows[:, 1]
+    positive = durations > 0
+    prior = np.maximum.accumulate(np.where(positive, offsets, -np.inf))
+    keep = positive & (offsets > np.concatenate(([-np.inf], prior))[:-1])
+    events = EventSeries(start, offsets[keep], durations[keep])
+    return events, len(rows) - len(events)
 
 
 def count_dropout_runs(series: SampledSeries) -> int:

@@ -68,7 +68,7 @@ def model_from_json(text: str):
     if not isinstance(doc, dict):
         raise SchemaMismatch("model file must hold a JSON object")
     kind = doc.get("model_kind") or doc.get("kind")
-    if kind not in _MODEL_CLASSES:
+    if not isinstance(kind, str) or kind not in _MODEL_CLASSES:
         raise SchemaMismatch(f"unknown serialized model kind {kind!r}")
     try:
         model = _MODEL_CLASSES[kind].from_dict(doc)

@@ -481,10 +481,19 @@ class TreeEnsembleModel(Model):
     @classmethod
     def from_dict(cls, d: dict) -> "TreeEnsembleModel":
         """A stored ensemble; an inner node whose feature is not a column
-        of feature_names, or a tree whose leaves do not hold one value per
-        class (bagging) or one score (boosting), raises SchemaMismatch."""
+        of feature_names, a tree whose leaves do not hold one value per
+        class (bagging) or one score (boosting), a base_score without one
+        finite entry per class, or a boosting tree_class without one class index
+        per tree raises SchemaMismatch."""
         model = super().from_dict(d)
-        n_out = 1 if model.mode == "boosting" else len(model.classes)
+        K = len(model.classes)
+        if model.base_score.shape != (K,) or not np.isfinite(model.base_score).all():
+            raise SchemaMismatch(f"base_score must hold one finite number per class ({K})")
+        if model.mode == "boosting" and not (
+                len(model.tree_class) == len(model.trees)
+                and all(type(k) is int and 0 <= k < K for k in model.tree_class)):
+            raise SchemaMismatch(f"tree_class must hold one class index in [0, {K}) per tree")
+        n_out = 1 if model.mode == "boosting" else K
         if any(t.n_out != n_out for t in model.trees):
             raise SchemaMismatch(f"a {model.mode} tree's value must have {n_out} columns")
         used = np.concatenate([[LEAF]] + [t.feature for t in model.trees])

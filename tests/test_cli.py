@@ -2,6 +2,7 @@
 
 import json
 import re
+import shutil
 from dataclasses import fields
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 
 from physio_bench.cli import RunConfig, build_parser, load_config, main
 from physio_bench.features import SCHEMA_PRESETS
+from test_ingest import E4_CASES, e4_case
 
 
 def _run(tmp_path, monkeypatch, argv):
@@ -118,6 +120,71 @@ class TestSynthExtract:
         assert err["type"] == "DataError"
         assert problem in err["message"]
         assert not (tmp_path / "run").exists()
+
+
+@pytest.fixture(scope="module")
+def e4_cohort(tmp_path_factory):
+    """A two-subject synth cohort, made once; tests copy it before they
+    change a file."""
+    out = tmp_path_factory.mktemp("e4") / "data"
+    assert main(["synth", "--preset", "interaction", "--n-subjects", "2",
+                 "--duration-s", "130", "--seed", "5", "--out", str(out)]) == 0
+    return out
+
+
+def _extract_fails(tmp_path, capfd, cohort, name, text) -> dict:
+    """Extract after `name` of the first session is replaced by `text`; it
+    must exit 3 with one JSON error line and write nothing."""
+    data = tmp_path / "data"
+    shutil.copytree(cohort, data)
+    (data / "sessions/S000" / name).write_text(text)
+    capfd.readouterr()
+    code = main(["extract", "--manifest", str(data / "manifest.json"),
+                 "--out", str(tmp_path / "run")])
+    assert code == 3
+    errors = [ln for ln in capfd.readouterr().err.splitlines() if ln.startswith("{")]
+    assert len(errors) == 1
+    assert not (tmp_path / "run").exists()
+    return json.loads(errors[0])["error"]
+
+
+_E4_FILES = {"channel": "TEMP.csv", "ACC": "ACC.csv", "IBI": "IBI.csv"}
+
+
+class TestMalformedE4Files:
+    @pytest.mark.parametrize("kind,part,mutation",
+                             [c for c in E4_CASES if e4_case(*c)[2] is not None])
+    def test_mutation_table_is_data_error(self, tmp_path, capfd, e4_cohort,
+                                          kind, part, mutation):
+        text, line, (error, message) = e4_case(kind, part, mutation)
+        err = _extract_fails(tmp_path, capfd, e4_cohort, _E4_FILES[kind], text)
+        assert err["code"] == 3
+        assert err["type"] == error.__name__
+        assert message in err["message"]
+        if part == "body":
+            assert f"at line {line}: " in err["message"]
+
+    @pytest.mark.parametrize("name,line,field,token,error", [
+        ("TEMP.csv", 0, 0, "nan", "MalformedHeader"),
+        ("ACC.csv", 0, 0, "nan", "MalformedHeader"),
+        ("TEMP.csv", 0, 0, "inf", "MalformedHeader"),
+        ("TEMP.csv", 1, 0, "inf", "MalformedHeader"),
+        ("ACC.csv", 1, 2, "inf", "MalformedHeader"),
+        ("IBI.csv", 0, 0, "nan", "MalformedHeader"),
+        ("IBI.csv", 3, 0, "nan", "NonFiniteSample"),
+        ("IBI.csv", 3, 1, "inf", "NonFiniteSample"),
+    ], ids=["temp-epoch-nan", "acc-epoch-nan", "temp-epoch-inf", "temp-rate-inf",
+            "acc-rate-inf", "ibi-epoch-nan", "ibi-offset-nan", "ibi-duration-inf"])
+    def test_non_finite_number_in_a_real_session(self, tmp_path, capfd, e4_cohort,
+                                                 name, line, field, token, error):
+        lines = (e4_cohort / "sessions/S000" / name).read_text().split("\n")
+        fields = lines[line].split(",")
+        fields[field] = token
+        lines[line] = ",".join(fields)
+        err = _extract_fails(tmp_path, capfd, e4_cohort, name, "\n".join(lines))
+        assert err["type"] == error
+        if error == "NonFiniteSample":
+            assert f"at line {line + 1}: " in err["message"]
 
 
 class TestEvaluateLoso:
@@ -326,12 +393,36 @@ class TestTrainExplain:
         doc = json.loads(capfd.readouterr().err.strip().splitlines()[-1])
         assert "knn" in doc["error"]["message"]
 
-    @pytest.mark.parametrize("text", ["{not json", "[]", '{"model_kind": "tree_ensemble"}'],
-                             ids=["not-json", "not-object", "missing-field"])
+    @pytest.mark.parametrize("model,edit", [
+        (None, "{not json"),
+        (None, "[]"),
+        (None, '{"model_kind": "tree_ensemble"}'),
+        (None, '{"model_kind": [[1.0]]}'),
+        ("bagging", {"base_score": None}),
+        ("bagging", {"base_score": [0.0]}),
+        ("bagging", {"base_score": [[0.0, 0.0]]}),
+        ("boosting", {"base_score": [0.0, float("nan")]}),
+        ("boosting", {"tree_class": lambda v: [None] + v[1:]}),
+        ("boosting", {"tree_class": lambda v: [2] + v[1:]}),
+        ("boosting", {"tree_class": lambda v: [True] + v[1:]}),
+        ("boosting", {"tree_class": lambda v: [0.0] + v[1:]}),
+        ("boosting", {"tree_class": lambda v: v[:-1]}),
+    ], ids=["not-json", "not-object", "missing-field", "kind-not-text", "base-null",
+            "base-short", "base-2d", "base-nan", "class-null", "class-out-of-range",
+            "class-bool", "class-float", "class-short"])
     def test_malformed_model_file_is_data_error(self, tmp_path, monkeypatch, capfd,
-                                                text):
+                                                model, edit):
         _feature_csv(tmp_path / "t.csv", "stress_16")
-        (tmp_path / "model.json").write_text(text)
+        if model is not None:
+            assert _run(tmp_path, monkeypatch, [
+                "train", "--features", "t.csv", "--model", model, "--trees", "3",
+                "--out", "m"]) == 0
+            doc = json.loads((tmp_path / "m/model.json").read_text())
+            for key, value in edit.items():
+                doc[key] = value(doc[key]) if callable(value) else value
+            edit = json.dumps(doc)
+        (tmp_path / "model.json").write_text(edit)
+        capfd.readouterr()
         code = _run(tmp_path, monkeypatch, [
             "explain", "--model-path", "model.json", "--features", "t.csv",
             "--out", "run"])
@@ -349,10 +440,15 @@ class TestTrainExplain:
             cells[2] = "foo"
             lines[i] = ",".join(cells)
         (tmp_path / "t.csv").write_text("\n".join(lines) + "\n")
+        # The labels are checked before any row is attributed.
+        explained = []
+        monkeypatch.setattr("physio_bench.pipeline.explain_table",
+                            lambda *a: explained.append(a))
         code = _run(tmp_path, monkeypatch, [
             "explain", "--model-path", "model/model.json", "--features", "t.csv",
             "--out", "run"])
         assert code == 3
+        assert explained == []
         err = _error(capfd)
         assert err["type"] == "SchemaMismatch"
         assert "'foo'" in err["message"]
@@ -458,6 +554,20 @@ class TestConfigHandling:
         err = _error(capfd)
         assert err["type"] == "ConfigError"
         assert message in err["message"]
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("flag", ["scr-min-prominence", "scr-min-distance-s",
+                                      "bvp-min-rr-s", "bvp-prominence-factor"])
+    def test_bad_detector_parameter_is_config_error(self, tmp_path, capfd, e4_cohort,
+                                                    flag, value):
+        capfd.readouterr()
+        code = main(["extract", "--manifest", str(e4_cohort / "manifest.json"),
+                     f"--{flag}={value}", "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = _error(capfd)
+        assert err["type"] == "ConfigError"
+        assert flag.replace("-", "_") in err["message"]
         assert not (tmp_path / "run").exists()
 
     def test_wrongly_typed_window_is_config_error(self, synth_data, tmp_path,
@@ -586,8 +696,7 @@ class TestConfigHandling:
         def reject(name):
             raise ValueError(f"not JSON: {name}")
 
-        common = ["--scr-min-prominence", "inf", "--trees", "3", "--seed", "5",
-                  "--out", "run"]
+        common = ["--svm-c", "inf", "--trees", "3", "--seed", "5", "--out", "run"]
         features = ["--features", "run/features.csv"]
         for argv in (["extract", "--manifest", "data/manifest.json"],
                      ["loso"] + features,
@@ -603,14 +712,14 @@ class TestConfigHandling:
             head = path.read_text().splitlines()[0]
             assert head.startswith("# "), path.name
             doc = json.loads(head[2:], parse_constant=reject)
-            assert doc["config"]["scr_min_prominence"] == "inf", path.name
+            assert doc["config"]["svm_c"] == "inf", path.name
 
     def test_json_artifacts_are_strict_json_under_non_finite_config(
             self, tmp_path, monkeypatch):
         def reject(name):
             raise ValueError(f"not JSON: {name}")
 
-        common = ["--scr-min-prominence", "inf", "--trees", "3", "--seed", "5"]
+        common = ["--svm-c", "inf", "--trees", "3", "--seed", "5"]
         manifest = ["--manifest", "data/manifest.json"]
         features = ["--features", "run/features.csv"]
         for argv in (["synth", "--n-subjects", "3", "--duration-s", "250",
@@ -631,7 +740,7 @@ class TestConfigHandling:
             "summary.json"]
         for path in docs:
             doc = json.loads(path.read_text(), parse_constant=reject)
-            assert doc["provenance"]["config"]["scr_min_prominence"] == "inf", path
+            assert doc["provenance"]["config"]["svm_c"] == "inf", path
 
 
 class TestAblateSummary:

@@ -40,5 +40,5 @@ def test_line_errors_keep_their_message():
     assert str(back) == "non-finite sample at line 12: 'nan'"
     assert back.line_no == 12
     back = pickle.loads(pickle.dumps(errors.RaggedRow(4, "1,2")))
-    assert str(back) == "row without 3 fields at line 4: '1,2'"
+    assert str(back) == "row with the wrong number of fields at line 4: '1,2'"
     assert back.line_no == 4

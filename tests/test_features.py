@@ -7,6 +7,7 @@ import pytest
 
 from physio_bench import features as F
 from physio_bench.errors import (
+    ConfigError,
     InsufficientBeats,
     MissingRequiredModality,
     SchemaMismatch,
@@ -126,6 +127,34 @@ def _peak_fuzz_set():
         signals.append(bvp)
         signals.append(np.round(bvp, 1))
     return signals
+
+
+class TestFeatureConfig:
+    @pytest.mark.parametrize("name", ["scr_min_prominence", "scr_min_distance_s",
+                                      "scr_tonic_window_s", "bvp_min_rr_s",
+                                      "bvp_prominence_factor"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_is_config_error(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            F.FeatureConfig(**{name: value})
+
+    def test_zero_tonic_window_is_config_error(self):
+        with pytest.raises(ConfigError, match="scr_tonic_window_s"):
+            F.FeatureConfig(scr_tonic_window_s=0.0)
+        F.FeatureConfig(scr_min_prominence=0.0, scr_min_distance_s=0.0,
+                        bvp_min_rr_s=0.0, bvp_prominence_factor=0.0)
+
+    def test_spacing_past_the_window_acts_as_the_window(self):
+        # 1e308 s times the rate overflows float64; it must count as the
+        # window's own length, which lets only the tallest peak stay.
+        rng = np.random.default_rng(3)
+        y = np.cumsum(rng.normal(size=256))
+        huge = F.FeatureConfig(scr_min_distance_s=1e308, bvp_min_rr_s=1e308)
+        whole = F.FeatureConfig(scr_min_distance_s=256 / 4.0, bvp_min_rr_s=256 / 64.0)
+        assert F.scr_peak_count(y, 4.0, huge) == F.scr_peak_count(y, 4.0, whole) <= 1
+        peaks = F.detect_bvp_peaks(y, 64.0, huge)
+        assert np.array_equal(peaks, F.detect_bvp_peaks(y, 64.0, whole))
+        assert len(peaks) == 1
 
 
 class TestPeakKernels:

@@ -221,6 +221,133 @@ class TestParseIbi:
         assert list(events.offsets) == [2.0]
         assert dropped == 1
 
+    @pytest.mark.parametrize("row,error", [("1.0,nan", NonFiniteSample),
+                                           ("1.0", RaggedRow),
+                                           ("x,0.8", MalformedHeader)])
+    def test_first_row_error_names_line_two(self, row, error):
+        # The header is one line, so the first body row is line 2.
+        with pytest.raises(error, match="at line 2: "):
+            ingest.parse_ibi(f"0, IBI\n{row}\n2.0,0.8\n")
+
+
+def _sequential_keep(rows):
+    """The IBI keep rule as a per-row loop: a row is kept when its
+    duration is positive and its offset exceeds the last kept offset."""
+    kept, dropped, last = [], 0, -np.inf
+    for off, dur in rows:
+        if off <= last or dur <= 0:
+            dropped += 1
+            continue
+        kept.append((off, dur))
+        last = off
+    return kept, dropped
+
+
+class TestIbiKeepRule:
+    def test_matches_the_sequential_loop(self):
+        # Few distinct values, so offsets tie and fall back often, and
+        # durations are often zero or negative.
+        rng = np.random.default_rng(11)
+        for _ in range(500):
+            n = int(rng.integers(0, 25))
+            offs = rng.integers(-4, 12, size=n) / 2
+            durs = rng.choice([-0.5, -0.0, 0.0, 0.4, 0.8], size=n)
+            rows = list(zip(offs.tolist(), durs.tolist()))
+            text = "0, IBI\n" + "".join(f"{o!r},{d!r}\n" for o, d in rows)
+            events, dropped = ingest.parse_ibi(text)
+            kept, ref_dropped = _sequential_keep(rows)
+            assert dropped == ref_dropped
+            assert events.offsets.tolist() == [o for o, _ in kept]
+            assert events.durations.tolist() == [d for _, d in kept]
+            assert events.offsets.dtype == events.durations.dtype == np.float64
+
+    def test_a_row_dropped_for_its_offset_does_not_raise_the_bar(self):
+        # 5.0 is dropped for its zero duration, so 3.0 is kept after 2.0.
+        events, dropped = ingest.parse_ibi(b"0, IBI\n2.0,0.8\n5.0,0\n1.0,0.8\n3.0,0.8\n")
+        assert events.offsets.tolist() == [2.0, 3.0]
+        assert dropped == 2
+
+
+#: Each E4 file kind: its parser, a valid header and body as rows of
+#: fields. Header mutations hit the first field; body mutations hit the
+#: middle field of BAD_ROW, which follows one blank line.
+E4_KINDS = {
+    "channel": (ingest.parse_channel, [["0"], ["4"]], [["1.5"]] * 5),
+    "ACC": (ingest.parse_acc, [["1", "1", "1"], ["32", "32", "32"]], [["1", "2", "3"]] * 5),
+    "IBI": (ingest.parse_ibi, [["0", " IBI"]], [[repr(0.8 * i + 0.8), "0.8"] for i in range(5)]),
+}
+E4_MUTATIONS = ("nan", "inf", "-inf", "1e400", "abc", "extra field", "missing field")
+BAD_ROW = 2
+
+
+def _mutated(fields, at, mutation):
+    fields = list(fields)
+    if mutation == "extra field":
+        fields.append("1")
+    elif mutation == "missing field":
+        del fields[at]
+    else:
+        fields[at] = mutation
+    return fields
+
+
+def e4_case(kind, part, mutation):
+    """The text of a `kind` file with one mutation, the physical line of the
+    mutated row, and the expected (error, message part), or None where the
+    format's width rules accept the file."""
+    _, header, body = E4_KINDS[kind]
+    header, body = list(header), list(body)
+    if part == "header":
+        header[0] = _mutated(header[0], 0, mutation)
+        line = 1
+    else:
+        body[BAD_ROW] = _mutated(body[BAD_ROW], len(body[BAD_ROW]) // 2, mutation)
+        line = len(header) + 2 + BAD_ROW
+    text = "\n".join([",".join(r) for r in header] + [""] + [",".join(r) for r in body]) + "\n"
+    if mutation in ("nan", "inf", "-inf", "1e400"):
+        expected = ((MalformedHeader, "non-finite start epoch") if part == "header"
+                    else (NonFiniteSample, "non-finite sample"))
+    elif mutation == "abc":
+        expected = MalformedHeader, "non-numeric"
+    elif part == "body":
+        # A one-field row without its field is a blank line, which is skipped.
+        expected = (None if kind == "channel" and mutation == "missing field"
+                    else (RaggedRow, "wrong number of fields"))
+    elif kind == "ACC":
+        expected = MalformedHeader, "three comma-separated fields"
+    else:
+        # Channel and IBI headers read their first field only. A channel
+        # header line without it is blank, so the next line takes its place.
+        expected = ((MalformedHeader, "non-numeric start epoch")
+                    if kind == "IBI" and mutation == "missing field" else None)
+    return text, line, expected
+
+
+E4_CASES = [(k, p, m) for k in E4_KINDS for p in ("header", "body") for m in E4_MUTATIONS]
+
+
+class TestE4MutationTable:
+    @pytest.mark.parametrize("kind,part,mutation", E4_CASES)
+    def test_typed_error(self, kind, part, mutation):
+        text, line, expected = e4_case(kind, part, mutation)
+        parse = E4_KINDS[kind][0]
+        if expected is None:
+            parse(text)
+            return
+        error, message = expected
+        with pytest.raises(error, match=message) as exc:
+            parse(text)
+        if part == "body":
+            assert f"at line {line}: " in str(exc.value)
+            assert getattr(exc.value, "line_no", line) == line
+
+    def test_only_the_width_rules_accept_a_case(self):
+        accepted = [c for c in E4_CASES if e4_case(*c)[2] is None]
+        assert accepted == [("channel", "header", "extra field"),
+                            ("channel", "header", "missing field"),
+                            ("channel", "body", "missing field"),
+                            ("IBI", "header", "extra field")]
+
 
 class TestDropoutScreening:
     def test_flat_run_longer_than_five_seconds_counts(self):

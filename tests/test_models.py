@@ -1199,7 +1199,7 @@ class TestSerialization:
         ('{"model_kind": "tree_ensemble", "mode": "boosting", "classes": ["a", "b"],'
          ' "feature_names": ["f"], "trees": [], "tree_class": [], "learning_rate": 0.1,'
          ' "base_score": [0, 0, 0, 0, 0],'
-         ' "stats": {"impute": [0], "mean": [0], "std": [1]}}', r"shape \(1, 5\), not \(1, 2\)"),
+         ' "stats": {"impute": [0], "mean": [0], "std": [1]}}', r"one finite number per class \(2\)"),
         ('{"model_kind": "tree_ensemble", "mode": "bagging", "classes": ["a", "b"],'
          ' "feature_names": ["f"], "tree_class": [], "learning_rate": 0.1,'
          ' "base_score": [0, 0], "stats": {"impute": [0], "mean": [0], "std": [1]},'
