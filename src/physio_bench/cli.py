@@ -403,24 +403,22 @@ def _flag_type(hint):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """One subparser per command; each takes --config and one flag per
-    RunConfig field, named after it with '_' as '-'."""
+    """One parser for every command: a command positional, --config and
+    one flag per RunConfig field, named after it with '_' as '-'."""
     parser = argparse.ArgumentParser(
         prog="physio-bench",
         description="Wearable physiology pipeline: ingestion, features, "
                     "models, SHAP, evaluation, ablation, synthesis.",
     )
-    sub = parser.add_subparsers(dest="command", metavar="command")
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON config document")
-        for field_name, hint in _FIELD_TYPES.items():
-            flag = "--" + field_name.replace("_", "-")
-            kind = _flag_type(hint)
-            if kind is bool:
-                p.add_argument(flag, action="store_const", const=True)
-            else:
-                p.add_argument(flag, type=kind)
+    parser.add_argument("command", nargs="?", choices=COMMANDS)
+    parser.add_argument("--config", help="JSON config document")
+    for field_name, hint in _FIELD_TYPES.items():
+        flag = "--" + field_name.replace("_", "-")
+        kind = _flag_type(hint)
+        if kind is bool:
+            parser.add_argument(flag, action="store_const", const=True)
+        else:
+            parser.add_argument(flag, type=kind)
     return parser
 
 

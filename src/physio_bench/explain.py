@@ -13,11 +13,26 @@ as in GPUTreeShap (Mitchell et al., arXiv:2010.13972):
   placed in its class column.
 
 Explaining a row tests every element's interval at once for the one
-fractions, then runs the EXTEND/UNWOUND_SUM weight bookkeeping as array
-operations over all paths of a group. Boosting ensembles are explained on
-the per-class log-odds margin, bagging ensembles on the averaged
-probability margin; either way the local-accuracy identity
-sum(phi) + base = margin(x) holds to float precision.
+fractions. A path's EXTEND/UNWOUND_SUM weights depend on the row only
+through those 0/1 one fractions, so a path of L elements has just 2^L
+possible weight vectors (Fast TreeSHAP v2, Yang, arXiv:2109.09847):
+
+- each group of paths no longer than TABLE_MAX_LEN gets a pattern table of
+  all of them, built with the path table; a row looks each path's weights
+  up by its pattern, sum(one_l << l);
+- the cap keeps a table at most 16 entries per element. Leaf-wise trees
+  have paths of ten and more features, whose 2^L tables would cost more
+  memory than they save time; such a group runs the bookkeeping directly
+  on each row's one fractions, vectorised over its paths.
+
+Both ways evaluate the same elementwise operations on the same operands,
+so a table entry is bit-equal to the direct weight. Each class's phi is
+then one bincount of weight * payload per feature, in path order from 0.0.
+
+Boosting ensembles are explained on the per-class log-odds margin, bagging
+ensembles on the averaged probability margin; either way the
+local-accuracy identity sum(phi) + base = margin(x) holds to float
+precision.
 
 Linear models get the closed form phi_i = w_i (z_i - background_i) on the
 standardized scale.
@@ -52,17 +67,36 @@ class Attribution:
 
 # --- path table -------------------------------------------------------------------
 
+#: Longest path that gets a pattern table. A path of L elements has 2^L
+#: one-patterns, so its table holds 2^L entries per element: at most 16
+#: (128 bytes) here. Longer paths are weighted on each row's own pattern.
+TABLE_MAX_LEN = 4
+
+#: Table entries built in one `_path_weights` call. The kernel keeps about
+#: a dozen temporaries of this size, so 2^12 entries hold them near 0.4 MB.
+BUILD_BLOCK = 1 << 12
+
 
 @dataclass
 class _PathGroup:
-    """Every root-to-leaf path with L distinct split features, one row each.
-    A path follows x iff lo < x[feature] <= hi for all of its elements."""
+    """The P paths with L distinct split features."""
 
-    feature: np.ndarray   # (P, L) intp
-    zero: np.ndarray      # (P, L) product of the element's cover ratios
-    lo: np.ndarray        # (P, L)
-    hi: np.ndarray        # (P, L)
-    value: np.ndarray     # (P, K) scaled leaf payload
+    zero: np.ndarray              # (P, L) product of each element's cover ratios
+    patterns: np.ndarray | None   # (P * 2^L, L) w * (one - z) of path p under
+                                  # one-pattern b in row p * 2^L + b; or None
+
+
+@dataclass
+class _PathTable:
+    """Every root-to-leaf path of an ensemble, flattened in the order of
+    its groups (by length), their paths and the paths' elements. A path
+    follows x iff lo < x[feature] <= hi for all of its elements."""
+
+    feature: np.ndarray   # (E,) intp
+    lo: np.ndarray        # (E,)
+    hi: np.ndarray        # (E,)
+    value: np.ndarray     # (K, E) scaled leaf payload of the element's path
+    groups: list[_PathGroup]
 
 
 def _tree_paths(tree: Tree, payload: np.ndarray):
@@ -83,57 +117,101 @@ def _tree_paths(tree: Tree, payload: np.ndarray):
             stack.append((child, {**path, f: (zero * ratio, *bounds)}))
 
 
-def _path_table(trees: list[Tree], payloads: list[np.ndarray]) -> list[_PathGroup]:
-    """Paths of all trees grouped by length; payloads[t] is tree t's
-    (n_nodes, K) leaf payload. Leaf-only trees attribute nothing."""
+def _path_weights(one: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """w * (one - z) for every element of (P, L) paths with one fractions
+    `one` (0 or 1) and zero fractions `z`: EXTEND over each path's
+    elements, then UNWOUND_SUM for every element, both vectorised over the
+    path axis. Every operation is elementwise along that axis, so a path's
+    weights do not depend on which other paths share the call."""
+    P, L = one.shape
+    pw = np.zeros((P, L + 1))
+    pw[:, 0] = 1.0
+    for l in range(1, L + 1):
+        i = np.arange(l)
+        old = pw[:, :l]
+        up = one[:, l - 1, None] * old * (i + 1) / (l + 1)
+        pw[:, :l] = z[:, l - 1, None] * old * (l - i) / (l + 1)
+        pw[:, 1:l + 1] += up
+    # One fractions are 0 or 1, so the o != 0 branch divides by o = 1.
+    nxt = pw[:, L, None]
+    total_hot = np.zeros((P, L))
+    total_cold = np.zeros((P, L))
+    for j in range(L - 1, -1, -1):
+        pj = pw[:, j, None]
+        tmp = nxt / (j + 1)
+        total_hot += tmp
+        nxt = pj - tmp * z * (L - j)
+        total_cold += pj / (z * (L - j))
+    w = np.where(one != 0, total_hot, total_cold) * (L + 1)
+    return w * (one - z)
+
+
+def _pattern_table(zero: np.ndarray) -> np.ndarray:
+    """`_path_weights` of (P, L) paths under each of their 2^L one-patterns,
+    shape (P * 2^L, L); pattern b has one_l = bit l of b. Paths go through
+    in blocks of at most BUILD_BLOCK entries."""
+    P, L = zero.shape
+    n = 1 << L
+    bits = ((np.arange(n)[:, None] >> np.arange(L)) & 1).astype(np.float64)
+    out = np.empty((P * n, L))
+    step = max(1, BUILD_BLOCK // (n * L))
+    for s in range(0, P, step):
+        z = zero[s:s + step]
+        out[s * n:(s + step) * n] = _path_weights(np.tile(bits, (len(z), 1)),
+                                                  np.repeat(z, n, axis=0))
+    return out
+
+
+def _path_table(trees: list[Tree], payloads: list[np.ndarray], K: int) -> _PathTable:
+    """Paths of all trees grouped by length, each group no longer than
+    TABLE_MAX_LEN with its pattern table. payloads[t] is tree t's
+    (n_nodes, K) leaf payload; leaf-only trees attribute nothing."""
     by_len: dict[int, list] = {}
     for tree, payload in zip(trees, payloads):
         for path, value in _tree_paths(tree, payload):
             by_len.setdefault(len(path), []).append((path, value))
-    groups = []
+    elems, values = [], []
     for L, paths in sorted(by_len.items()):
-        if L == 0:
-            continue
-        elems = np.array([[(f, *e) for f, e in path.items()] for path, _ in paths])
-        groups.append(_PathGroup(elems[..., 0].astype(np.intp), elems[..., 1],
-                                 elems[..., 2], elems[..., 3],
-                                 np.array([v for _, v in paths])))
-    return groups
+        if L > 0:
+            elems.append(np.array([[(f, *e) for f, e in path.items()] for path, _ in paths]))
+            values.append(np.repeat(np.array([v for _, v in paths]).T, L, axis=1))
+    del by_len  # frees the path dicts before the tables are built
+    feature, lo, hi = (np.concatenate([np.zeros(0)] + [e[..., i].ravel() for e in elems])
+                       for i in (0, 2, 3))
+    value = np.concatenate([np.zeros((K, 0))] + values, axis=1)
+    groups = [_PathGroup(e[..., 1].copy(),
+                         _pattern_table(e[..., 1]) if e.shape[1] <= TABLE_MAX_LEN else None)
+              for e in elems]
+    return _PathTable(feature.astype(np.intp), lo, hi, value, groups)
 
 
-def _shap_paths(groups: list[_PathGroup], x: np.ndarray, d: int, K: int) -> np.ndarray:
-    """Shapley values (d, K) of x: EXTEND over each path's elements, then
-    UNWOUND_SUM for every element, both vectorised over the path axis."""
-    phi = np.zeros((d, K))
+def _shap_paths(t: _PathTable, x: np.ndarray, d: int) -> np.ndarray:
+    """Shapley values (d, K) of x. One interval test gives every element's
+    one fraction. A group with a pattern table looks each path's weights
+    up by its pattern, sum(one_l << l); a longer group runs
+    `_path_weights` on them. Each class then sums weight * payload per
+    feature in element order, from 0.0."""
     # -inf routes left of every threshold; the largest float does the same
     # and still lies inside an unbounded lo = -inf.
     x = np.maximum(x, -np.finfo(np.float64).max)
-    for g in groups:
-        P, L = g.feature.shape
-        xv = x[g.feature]
-        one = ((g.lo < xv) & (xv <= g.hi)).astype(np.float64)
-        z = g.zero
-        pw = np.zeros((P, L + 1))
-        pw[:, 0] = 1.0
-        for l in range(1, L + 1):
-            i = np.arange(l)
-            old = pw[:, :l]
-            up = one[:, l - 1, None] * old * (i + 1) / (l + 1)
-            pw[:, :l] = z[:, l - 1, None] * old * (l - i) / (l + 1)
-            pw[:, 1:l + 1] += up
-        # One fractions are 0 or 1, so the o != 0 branch divides by o = 1.
-        nxt = pw[:, L, None]
-        total_hot = np.zeros((P, L))
-        total_cold = np.zeros((P, L))
-        for j in range(L - 1, -1, -1):
-            pj = pw[:, j, None]
-            tmp = nxt / (j + 1)
-            total_hot += tmp
-            nxt = pj - tmp * z * (L - j)
-            total_cold += pj / (z * (L - j))
-        w = np.where(one != 0, total_hot, total_cold) * (L + 1)
-        contrib = (w * (one - z))[..., None] * g.value[:, None, :]
-        np.add.at(phi, g.feature.ravel(), contrib.reshape(-1, K))
+    xv = x[t.feature]
+    one = (t.lo < xv) & (xv <= t.hi)
+    c = np.empty(len(one))
+    s = 0
+    for g in t.groups:
+        P, L = g.zero.shape
+        one_g = one[s:s + P * L].reshape(P, L)
+        out = c[s:s + P * L].reshape(P, L)
+        if g.patterns is None:
+            out[:] = _path_weights(one_g.astype(np.float64), g.zero)
+        else:
+            rows = (np.arange(P) << L) + (one_g @ 2.0 ** np.arange(L)).astype(np.intp)
+            np.take(g.patterns, rows, axis=0, out=out)
+        s += P * L
+    K = t.value.shape[0]
+    phi = np.empty((d, K))
+    for k in range(K):
+        phi[:, k] = np.bincount(t.feature, weights=c * t.value[k], minlength=d)
     return phi
 
 
@@ -154,14 +232,14 @@ def _model_paths(model: TreeEnsembleModel):
             payloads = [tree.value / B for tree in model.trees]
             for tree in model.trees:
                 base += tree.expected_value() / B
-        model.shap_paths = (_path_table(model.trees, payloads), base)
+        model.shap_paths = (_path_table(model.trees, payloads, K), base)
     return model.shap_paths
 
 
 def shap_single_tree(tree: Tree, x: np.ndarray, n_features: int) -> np.ndarray:
     """Exact path-dependent Shapley values of one tree, shape (d, n_out)."""
     x = np.asarray(x, dtype=np.float64)
-    return _shap_paths(_path_table([tree], [tree.value]), x, n_features, tree.n_out)
+    return _shap_paths(_path_table([tree], [tree.value], tree.n_out), x, n_features)
 
 
 def tree_shap(model: TreeEnsembleModel, x: np.ndarray,
@@ -173,8 +251,8 @@ def tree_shap(model: TreeEnsembleModel, x: np.ndarray,
     if x.shape[0] != d:
         raise SchemaMismatch(f"expected {d} features, got {x.shape[0]}")
     xi = model.stats.impute_only(x[None, :])[0]
-    groups, base = _model_paths(model)
-    phi = _shap_paths(groups, xi, d, len(model.classes)).T
+    paths, base = _model_paths(model)
+    phi = _shap_paths(paths, xi, d).T
     return Attribution(list(model.classes), list(model.feature_names), phi,
                        base.copy(), xi, subject_id, window_start)
 

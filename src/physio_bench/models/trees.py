@@ -473,7 +473,8 @@ class TreeEnsembleModel(Model):
     base_score: np.ndarray        # (K,) log prior for boosting, zeros bagging
     stats: ColumnStats
     feature_names: list[str]
-    #: explain's path table and base values, built on the first tree_shap call
+    #: explain's path and pattern tables and base values, built on the first
+    #: tree_shap call
     shap_paths: object = field(default=None, init=False, repr=False, compare=False)
 
     kind = "tree_ensemble"

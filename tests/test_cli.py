@@ -514,6 +514,20 @@ def test_flag_sets_its_field_with_its_type(name):
     assert all(getattr(cfg, o) == getattr(RunConfig(), o) for o in others)
 
 
+class TestUsageExits:
+    def test_no_command_prints_help_and_is_a_config_error(self, capsys):
+        assert main([]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("usage: physio-bench")
+
+    def test_unknown_command_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["bogus"])
+        assert e.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
 class TestConfigHandling:
     def test_config_file_with_flag_override(self, synth_data, tmp_path, monkeypatch):
         cfg = {"manifest": "data/manifest.json", "seed": 5, "trees": 10,

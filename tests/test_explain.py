@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from physio_bench import explain
 from physio_bench.errors import ConfigError
 from physio_bench.explain import (
     Attribution,
@@ -263,6 +264,51 @@ class TestPathMerge:
                 phi = shap_single_tree(tree, x, 5)
                 assert np.abs(phi - _brute_force_shap(tree, x, 5)).max() <= 1e-12
         assert merged > 0  # the unpruned trees exercise the path merge
+
+
+class TestPatternTable:
+    """A path's weights read from its pattern table are bit-equal to the
+    kernel run on the row's own one fractions, which every group takes
+    when no group may have a table."""
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    @pytest.mark.parametrize("kind,growth", [("boosting", "depth"), ("boosting", "leaf"),
+                                             ("bagging", "depth")])
+    def test_table_equals_direct_bit_for_bit(self, kind, growth, n_classes, monkeypatch):
+        rng = np.random.default_rng(14)
+        data = _random_data(rng, n=150, d=8, n_classes=n_classes)
+        model = train_tree_ensemble(data, TrainConfig(
+            kind=kind, n_trees=6, growth=growth, seed=5,
+            min_samples_leaf=1 if kind == "boosting" else 2))
+        X = np.vstack([data.X[:25], rng.normal(size=(25, 8))])
+        X[0, 0], X[1, 1], X[2, 2] = np.inf, -np.inf, np.nan
+        tabled = [tree_shap(model, x).phi for x in X]
+        lengths = {g.zero.shape[1]: g.patterns is not None
+                   for g in model.shap_paths[0].groups}
+        assert lengths == {L: L <= explain.TABLE_MAX_LEN for L in lengths}
+        if growth == "leaf":  # leaf-wise paths outgrow the cap
+            assert set(lengths.values()) == {True, False}
+        else:
+            assert all(lengths.values())
+        monkeypatch.setattr(explain, "TABLE_MAX_LEN", 0)
+        model.shap_paths = None
+        direct = [tree_shap(model, x).phi for x in X]
+        assert all(g.patterns is None for g in model.shap_paths[0].groups)
+        for a, b in zip(tabled, direct):
+            assert a.tobytes() == b.tobytes()
+
+    def test_table_build_block_does_not_change_entries(self, monkeypatch):
+        zero = np.random.default_rng(15).uniform(0.05, 1.0, size=(37, 4))
+        whole = explain._pattern_table(zero)
+        monkeypatch.setattr(explain, "BUILD_BLOCK", 1)
+        assert explain._pattern_table(zero).tobytes() == whole.tobytes()
+        bits = (np.arange(16)[:, None] >> np.arange(4)) & 1
+        for p in (0, 36):
+            rows = whole[p * 16:(p + 1) * 16]
+            for b in range(16):
+                one = bits[b].astype(np.float64)[None, :]
+                assert (rows[b].tobytes()
+                        == explain._path_weights(one, zero[p:p + 1])[0].tobytes())
 
 
 def _has_repeated_feature(tree: Tree, node=0, seen=frozenset()) -> bool:
