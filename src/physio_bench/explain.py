@@ -99,22 +99,60 @@ class _PathTable:
     groups: list[_PathGroup]
 
 
-def _tree_paths(tree: Tree, payload: np.ndarray):
-    """(elements, payload row) per leaf. elements maps each split feature
-    to (zero fraction, lo, hi), in the order of its last split."""
-    stack = [(0, {})]
-    while stack:
-        node, path = stack.pop()
-        f = int(tree.feature[node])
-        if f == LEAF:
-            yield path, payload[node]
-            continue
-        zero, lo, hi = path.pop(f, (1.0, -np.inf, np.inf))
-        t = float(tree.threshold[node])
-        for child, bounds in ((tree.right[node], (max(lo, t), hi)),
-                              (tree.left[node], (lo, min(hi, t)))):
-            ratio = tree.cover[child] / tree.cover[node]
-            stack.append((child, {**path, f: (zero * ratio, *bounds)}))
+def _leaf_states(trees: list[Tree]):
+    """(zero, lo, hi, last, node) for every leaf of the trees, in path
+    order: tree by tree, each tree's leaves in preorder (left subtree
+    first). The first four are (leaves, d) arrays giving, per feature, the
+    zero fraction (product of the path's cover ratios), the interval
+    lo < x <= hi and the depth of the feature's last split on the path
+    (-1: none); node is the leaf's index in the trees' concatenated nodes.
+    All trees are walked at once, one depth at a time."""
+    sizes = [t.n_nodes for t in trees]
+    roots = np.cumsum([0] + sizes)[:-1]
+    feature, threshold, cover, left, right = (
+        np.concatenate([np.zeros(0, np.intp)] + [getattr(t, name) for t in trees])
+        for name in ("feature", "threshold", "cover", "left", "right"))
+    left += np.repeat(roots, sizes)
+    right += np.repeat(roots, sizes)
+    d = int(feature.max(initial=LEAF)) + 1
+    # Bottom up, the number of leaves under each inner node; top down, the
+    # path-order index of the first leaf under each node.
+    levels, nodes = [], roots
+    while len(nodes):
+        nodes = nodes[feature[nodes] != LEAF]
+        levels.append(nodes)
+        nodes = np.concatenate([left[nodes], right[nodes]])
+    n_leaves = (feature == LEAF).astype(np.intp)
+    for p in reversed(levels):
+        n_leaves[p] = n_leaves[left[p]] + n_leaves[right[p]]
+    nodes = roots
+    first = np.cumsum(n_leaves[nodes]) - n_leaves[nodes]
+    n = int(n_leaves[nodes].sum())
+    out = (np.empty((n, d)), np.empty((n, d)), np.empty((n, d)),
+           np.empty((n, d), np.intp), np.empty(n, np.intp))
+    state = (np.ones((len(nodes), d)), np.full((len(nodes), d), -np.inf),
+             np.full((len(nodes), d), np.inf), np.full((len(nodes), d), -1, np.intp))
+    depth = 0
+    while len(nodes):
+        leaf = feature[nodes] == LEAF
+        for dst, src in zip(out, (*state, nodes)):
+            dst[first[leaf]] = src[leaf]
+        p = nodes[~leaf]
+        nodes = np.concatenate([left[p], right[p]])
+        first = np.concatenate([first[~leaf], first[~leaf] + n_leaves[left[p]]])
+        zero, lo, hi, last = (np.concatenate([a[~leaf]] * 2) for a in state)
+        # Left children come first. Each child updates its parent's split
+        # feature f: the zero fraction takes the child's cover ratio, and the
+        # left child's hi becomes min(hi, t), the right child's lo max(lo, t).
+        f, t = feature[p], threshold[p]
+        rows, k = np.arange(len(nodes)), np.arange(len(p))
+        zero[rows, np.tile(f, 2)] *= cover[nodes] / np.tile(cover[p], 2)
+        hi[k, f] = np.where(t < hi[k, f], t, hi[k, f])
+        lo[k + len(p), f] = np.where(t > lo[k + len(p), f], t, lo[k + len(p), f])
+        last[rows, np.tile(f, 2)] = depth
+        state = zero, lo, hi, last
+        depth += 1
+    return out
 
 
 def _path_weights(one: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -165,24 +203,26 @@ def _pattern_table(zero: np.ndarray) -> np.ndarray:
 def _path_table(trees: list[Tree], payloads: list[np.ndarray], K: int) -> _PathTable:
     """Paths of all trees grouped by length, each group no longer than
     TABLE_MAX_LEN with its pattern table. payloads[t] is tree t's
-    (n_nodes, K) leaf payload; leaf-only trees attribute nothing."""
-    by_len: dict[int, list] = {}
-    for tree, payload in zip(trees, payloads):
-        for path, value in _tree_paths(tree, payload):
-            by_len.setdefault(len(path), []).append((path, value))
+    (n_nodes, K) leaf payload; leaf-only trees attribute nothing. A
+    path's elements are its split features in the order of their last
+    split."""
+    zero, lo, hi, last, leaf = _leaf_states(trees)
+    value = np.concatenate([np.zeros((0, K))] + payloads)[leaf]
+    n_split = (last >= 0).sum(axis=1)
+    order = np.argsort(last, axis=1)
+    d = last.shape[1]
     elems, values = [], []
-    for L, paths in sorted(by_len.items()):
-        if L > 0:
-            elems.append(np.array([[(f, *e) for f, e in path.items()] for path, _ in paths]))
-            values.append(np.repeat(np.array([v for _, v in paths]).T, L, axis=1))
-    del by_len  # frees the path dicts before the tables are built
-    feature, lo, hi = (np.concatenate([np.zeros(0)] + [e[..., i].ravel() for e in elems])
-                       for i in (0, 2, 3))
-    value = np.concatenate([np.zeros((K, 0))] + values, axis=1)
-    groups = [_PathGroup(e[..., 1].copy(),
-                         _pattern_table(e[..., 1]) if e.shape[1] <= TABLE_MAX_LEN else None)
+    for L in np.unique(n_split[n_split > 0]).tolist():
+        sel = n_split == L
+        cols = order[sel, d - L:]
+        elems.append([cols] + [np.take_along_axis(a[sel], cols, 1) for a in (zero, lo, hi)])
+        values.append(np.repeat(value[sel].T, L, axis=1))
+    feature, zero, lo, hi = (np.concatenate([np.zeros(0)] + [e[i].ravel() for e in elems])
+                             for i in range(4))
+    groups = [_PathGroup(e[1], _pattern_table(e[1]) if e[1].shape[1] <= TABLE_MAX_LEN else None)
               for e in elems]
-    return _PathTable(feature.astype(np.intp), lo, hi, value, groups)
+    return _PathTable(feature.astype(np.intp), lo, hi,
+                      np.concatenate([np.zeros((K, 0))] + values, axis=1), groups)
 
 
 def _shap_paths(t: _PathTable, x: np.ndarray, d: int) -> np.ndarray:

@@ -38,6 +38,7 @@ from .errors import (
     SchemaMismatch,
     TooFewSamples,
 )
+from .ingest import MODALITY_CHANNELS
 from .windowing import Window
 
 
@@ -282,6 +283,8 @@ class Family:
     `compute(window, cfg, *samples)` gets the window's samples of each
     channel, in `channels` order, and returns one value per feature. An
     optional family gives NaN for all its features on InsufficientBeats.
+    `reads_ibi` marks a family whose `compute` reads the window's IBI
+    events.
     """
 
     modality: str
@@ -289,6 +292,7 @@ class Family:
     features: tuple[tuple[str, str], ...]  # (name, unit)
     compute: Callable[..., tuple]
     optional: bool = False
+    reads_ibi: bool = False
 
 
 #: Every feature this toolkit can compute, one row per family. Adding a
@@ -305,7 +309,8 @@ FAMILIES = {
                  lambda w, cfg, s: temp_features(s)),
     # HRV from the IBI events; a window with fewer than 2 has none.
     "ibi_hrv": Family("HR", (), (("sdnn", "s"), ("rmssd", "s")),
-                      lambda w, cfg: hrv_metrics(w.ibi_durations), optional=True),
+                      lambda w, cfg: hrv_metrics(w.ibi_durations), optional=True,
+                      reads_ibi=True),
     # HRV from BVP systolic peaks, for sessions without an IBI stream.
     "bvp_hrv": Family(
         "HRV", ("BVP",), (("bvp_sdnn", "s"), ("bvp_rmssd", "s")),
@@ -326,6 +331,9 @@ _FAMILY_OF = {name: (key, j) for key, fam in FAMILIES.items()
 
 FEATURE_DEFS = {name: Feature(name, fam.modality, unit, fam.optional)
                 for fam in FAMILIES.values() for name, unit in fam.features}
+
+#: Channel name -> the E4 file (modality) that holds it.
+_FILE_OF = {ch: m for m, names in MODALITY_CHANNELS.items() for ch in names}
 
 
 @dataclass(frozen=True)
@@ -360,6 +368,15 @@ class FeatureSchema:
             if f.modality not in seen:
                 seen.append(f.modality)
         return seen
+
+    @property
+    def files(self) -> frozenset[str]:
+        """The E4 files, by stem, that the features read: the modality file
+        of each family channel, and IBI for a family that reads the beat
+        events."""
+        families = [FAMILIES[_FAMILY_OF[f.name][0]] for f in self.features]
+        return frozenset({_FILE_OF[ch] for fam in families for ch in fam.channels}
+                         | {"IBI" for fam in families if fam.reads_ibi})
 
 
 def schema_from_names(names: list[str], schema_name: str = "custom") -> FeatureSchema:

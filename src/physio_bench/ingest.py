@@ -10,11 +10,15 @@ whose first field is the start epoch.
 
 All three file kinds share one reader: it skips blank lines, splits off
 the header lines and converts the body to a (rows, fields) array in one
-call. A non-finite header number is a `MalformedHeader`. A body row of the
+call. A blank line between two header lines, or a non-finite header
+number, is a `MalformedHeader`. A body row of the
 wrong width is a `RaggedRow`, a non-finite value a `NonFiniteSample` and a
 non-number a `MalformedHeader`, each naming its physical line. An IBI row
 is kept when its duration is positive and its offset exceeds the largest
 offset of the earlier rows with a positive duration.
+
+`load_session` reads a session directory, or only the files a caller
+names: extraction reads just the files its schema needs.
 
 A dataset manifest is a single JSON document listing sessions with their
 subject ids, paths (relative to the manifest), label segments, and an
@@ -29,7 +33,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NoReturn
+from typing import Collection, NoReturn
 
 import numpy as np
 
@@ -185,14 +189,19 @@ def _read(data: bytes | str, n_header: int, n_fields: int) -> tuple[list[str], n
     """The header lines of an E4 file, and its body converted in one call
     to a (rows, n_fields) float array. Only LF ends a physical line
     (`str.splitlines` would also split on form feeds inside a row); lines
-    are stripped and blank ones skipped. A malformed body row makes the
-    per-line locator raise its typed error."""
+    are stripped and blank ones skipped, except between the header lines,
+    where a blank line is a `MalformedHeader`. A malformed body row makes
+    the per-line locator raise its typed error."""
     # The decoded text is a temporary, freed before the body is converted.
     physical = [ln.strip() for ln in
                 (data.decode("utf-8") if isinstance(data, bytes) else data).split("\n")]
     lines = [ln for ln in physical if ln]
     if len(lines) < n_header:
         raise MalformedHeader(f"file must have {n_header} header line(s), found {len(lines)}")
+    first = physical.index(lines[0])
+    if not all(physical[first:first + n_header]):
+        raise MalformedHeader(
+            f"blank line at line {physical.index('', first) + 1} inside the header")
     body = lines[n_header:]
     if n_fields > 1:
         if any(ln.count(",") != n_fields - 1 for ln in body):
@@ -390,16 +399,27 @@ def _resolve_segments(entry: ManifestEntry, eda_start: float | None,
     return segments
 
 
-def load_session(dir_path: str | Path, entry: ManifestEntry) -> Recording:
-    """Load one session directory into a screened Recording."""
+def load_session(dir_path: str | Path, entry: ManifestEntry,
+                 files: Collection[str] | None = None) -> Recording:
+    """Load one session directory into a screened Recording.
+
+    `files` names the E4 files to read by stem (a `MODALITY_CHANNELS` key
+    or "IBI"); None reads every file. EDA.csv is read as well whenever the
+    entry's segment times are relative, since they count from its start.
+    The screening, the dropped IBI rows and the span cover only the files
+    read: an unread file counts as absent, and a session whose read files
+    are all absent or empty has no channels.
+    """
     dir_path = Path(dir_path)
+    if files is not None and entry.times == "relative":
+        files = {*files, "EDA"}
     channels: dict[str, SampledSeries] = {}
     screening = {name: ChannelScreen() for name in CHANNELS}
     screening["IBI"] = ChannelScreen()
 
     for modality, names in MODALITY_CHANNELS.items():
         f = dir_path / f"{modality}.csv"
-        if not f.is_file():
+        if (files is not None and modality not in files) or not f.is_file():
             continue
         for name in names:
             screening[name].present = True
@@ -417,7 +437,7 @@ def load_session(dir_path: str | Path, entry: ManifestEntry) -> Recording:
     ibi = None
     ibi_dropped = 0
     ibi_file = dir_path / "IBI.csv"
-    if ibi_file.is_file():
+    if ibi_file.is_file() and (files is None or "IBI" in files):
         screening["IBI"].present = True
         ibi, ibi_dropped = parse_ibi(ibi_file.read_bytes())
         screening["IBI"].n_samples = len(ibi)

@@ -5,6 +5,13 @@ Sessions are loaded, windowed and summarised one after another in
 manifest order; `--jobs` does not apply here. It parallelises only the
 fits of ablate and the sessions of synth (see `parallel.py`).
 
+Extraction, whether by `extract` or by a model command fed a manifest,
+parses only the E4 files that the run needs: those the schema's features
+read (`FeatureSchema.files`) and those of the window policy's required
+modalities. Windows therefore carry only those channels, and each
+session's report entry covers only those files. `summary` reads every
+file.
+
 Each command returns its outputs as `{file name: body}`, and
 `write_artifacts` writes them all once the computation has finished: it
 stamps every JSON document and every CSV header with the run's
@@ -64,13 +71,14 @@ def dump_json(doc: dict) -> str:
     return json.dumps(jsonable(doc), indent=1, sort_keys=True) + "\n"
 
 
-def _session_windows(path: Path, entry: ManifestEntry, policy: WindowPolicy
-                     ) -> tuple[list, dict]:
-    """One session's windows and its extract-report entry; an unusable
-    session gives no windows and the reason it was skipped. The raw
-    recording is released on return, so only one is held at a time."""
+def _session_windows(path: Path, entry: ManifestEntry, policy: WindowPolicy,
+                     files: frozenset[str]) -> tuple[list, dict]:
+    """One session's windows and its extract-report entry, from the E4
+    `files` only; an unusable session gives no windows and the reason it
+    was skipped. The raw recording is released on return, so only one is
+    held at a time."""
     try:
-        rec = load_session(path, entry)
+        rec = load_session(path, entry, files)
         windows, report = segment_with_report(rec, policy)
     except NoChannels as e:
         return [], {"skipped": f"no channels: {e}"}
@@ -96,11 +104,12 @@ def extract_table(manifest_path: str | Path, policy: WindowPolicy,
         )
     schema = SCHEMA_PRESETS[schema_name]
     entries, base = load_manifest(manifest_path)
+    files = schema.files | policy.required_modalities
 
     windows = []
     sessions_report = {}
     for entry in entries:
-        session_windows, info = _session_windows(base / entry.path, entry, policy)
+        session_windows, info = _session_windows(base / entry.path, entry, policy, files)
         windows.extend(session_windows)
         sessions_report[entry.subject_id] = info
         log.info("session %s: %s", entry.subject_id, info)

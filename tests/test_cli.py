@@ -187,6 +187,107 @@ class TestMalformedE4Files:
             assert f"at line {line + 1}: " in err["message"]
 
 
+#: File texts that no E4 parser accepts.
+_CORRUPT = {"BVP.csv": "0\n64\nabc\n", "HR.csv": "0\n1\nabc\n",
+            "IBI.csv": "0, IBI\nabc,0.8\n"}
+
+
+def _in_copy(tmp_path, monkeypatch, cohort, where, argv, corrupt=(), flat=()):
+    """Run `argv` in a copy of `cohort` under tmp_path/where, after each
+    name in `corrupt` of the first session is made unparseable and each
+    name in `flat` is made one constant value; returns the exit code."""
+    data = tmp_path / where / "data"
+    shutil.copytree(cohort, data)
+    session = data / "sessions/S000"
+    for name in corrupt:
+        (session / name).write_text(_CORRUPT[name])
+    for name in flat:
+        lines = (session / name).read_text().split("\n")
+        (session / name).write_text("\n".join(lines[:2] + ["1.0"] * (len(lines) - 3) + [""]))
+    return _run(tmp_path / where, monkeypatch, [*argv, "--manifest", "data/manifest.json",
+                                               "--out", "run"])
+
+
+class TestExtractReadsSchemaFiles:
+    """extract, and a model command fed --manifest, read only the E4 files
+    that the schema's features and the required modalities need."""
+
+    @pytest.mark.parametrize("schema,corrupt", [
+        ("stress_16", ("BVP.csv",)),
+        ("cogload_16", ("HR.csv", "IBI.csv")),
+    ], ids=["stress_16-BVP", "cogload_16-HR-IBI"])
+    def test_corrupt_unread_files_are_ignored(self, tmp_path, monkeypatch, e4_cohort,
+                                              schema, corrupt):
+        argv = ["extract", "--schema", schema]
+        assert _in_copy(tmp_path, monkeypatch, e4_cohort, "clean", argv) == 0
+        assert _in_copy(tmp_path, monkeypatch, e4_cohort, "bad", argv, corrupt) == 0
+        for name in ("features.csv", "extract_report.json"):
+            assert ((tmp_path / "bad/run" / name).read_bytes()
+                    == (tmp_path / "clean/run" / name).read_bytes())
+
+    def test_required_modality_is_read_again(self, tmp_path, monkeypatch, capfd,
+                                             e4_cohort):
+        argv = ["extract", "--required", "BVP"]
+        assert _in_copy(tmp_path, monkeypatch, e4_cohort, "bad", argv, ["BVP.csv"]) == 3
+        err = _error(capfd)
+        assert err["type"] == "MalformedHeader" and "line 3" in err["message"]
+
+    def test_model_command_from_manifest_prunes_the_same_way(self, synth_data, tmp_path,
+                                                             monkeypatch):
+        cohort = synth_data / "data"
+        argv = ["evaluate", "--model", "logistic", "--seed", "5"]
+        assert _in_copy(tmp_path, monkeypatch, cohort, "clean", argv) == 0
+        assert _in_copy(tmp_path, monkeypatch, cohort, "bad", argv, ["BVP.csv"]) == 0
+        assert ((tmp_path / "bad/run/results.json").read_bytes()
+                == (tmp_path / "clean/run/results.json").read_bytes())
+
+    @pytest.mark.parametrize("name", ["BVP.csv", "HR.csv", "IBI.csv"])
+    def test_summary_reads_every_file(self, tmp_path, monkeypatch, capfd, e4_cohort,
+                                      name):
+        assert _in_copy(tmp_path, monkeypatch, e4_cohort, "bad", ["summary"], [name]) == 3
+        assert _error(capfd)["type"] == "MalformedHeader"
+        assert _in_copy(tmp_path, monkeypatch, e4_cohort, "clean", ["summary"]) == 0
+        doc = json.loads((tmp_path / "clean/run/summary.json").read_text())
+        assert set(doc["per_subject"]["S000"]) == {"EDA", "TEMP", "HR", "BVP",
+                                                   "ACC_X", "ACC_Y", "ACC_Z"}
+
+    def test_screening_flags_cover_the_files_read(self, tmp_path, monkeypatch, e4_cohort):
+        for schema in ("stress_16", "cogload_16"):
+            assert _in_copy(tmp_path, monkeypatch, e4_cohort, schema,
+                            ["extract", "--schema", schema], flat=["BVP.csv"]) == 0
+        flags = {schema: json.loads((tmp_path / schema / "run/extract_report.json")
+                                    .read_text())["report"]["sessions"]["S000"]
+                 for schema in ("stress_16", "cogload_16")}
+        assert flags["stress_16"]["screening_flags"] == {}
+        assert flags["cogload_16"]["screening_flags"]["BVP"]["dropout_runs"] == 1
+
+    def test_ibi_rows_dropped_is_zero_when_ibi_is_not_read(self, tmp_path, monkeypatch,
+                                                           e4_cohort):
+        data = tmp_path / "cohort"
+        shutil.copytree(e4_cohort, data)
+        ibi = data / "sessions/S000/IBI.csv"
+        ibi.write_text(ibi.read_text() + "0.5,0.8\n")  # offset below the last: dropped
+        reports = {}
+        for schema in ("stress_16", "cogload_16"):
+            assert _in_copy(tmp_path, monkeypatch, data, schema,
+                            ["extract", "--schema", schema]) == 0
+            reports[schema] = json.loads((tmp_path / schema / "run/extract_report.json")
+                                         .read_text())["report"]["sessions"]["S000"]
+        assert reports["stress_16"]["ibi_rows_dropped"] == 1
+        assert reports["cogload_16"]["ibi_rows_dropped"] == 0
+
+    def test_session_with_only_unread_files_has_no_channels(self, tmp_path, monkeypatch,
+                                                            e4_cohort):
+        data = tmp_path / "cohort"
+        shutil.copytree(e4_cohort, data)
+        for f in (data / "sessions/S000").iterdir():
+            if f.name != "BVP.csv":
+                f.unlink()
+        assert _in_copy(tmp_path, monkeypatch, data, "run16", ["extract"]) == 0
+        report = json.loads((tmp_path / "run16/run/extract_report.json").read_text())
+        assert report["report"]["sessions"]["S000"]["skipped"].startswith("no channels")
+
+
 class TestEvaluateLoso:
     def test_evaluate_and_rerun_byte_identical(self, synth_data, tmp_path,
                                                monkeypatch):

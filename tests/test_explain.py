@@ -297,6 +297,39 @@ class TestPatternTable:
         for a, b in zip(tabled, direct):
             assert a.tobytes() == b.tobytes()
 
+    def test_node_order_does_not_change_the_table(self):
+        # Trees stored breadth first (children still after their parent,
+        # as older files may list them) give the same paths, in the same
+        # order, as the preorder trees the growers write.
+        rng = np.random.default_rng(16)
+        data = _random_data(rng, n=150, d=8, n_classes=3)
+        model = train_tree_ensemble(data, TrainConfig(
+            kind="boosting", n_trees=6, growth="leaf", seed=5, min_samples_leaf=1))
+
+        def breadth_first(tree):
+            order, i = [0], 0
+            while i < len(order):
+                node = order[i]
+                if tree.feature[node] != LEAF:
+                    order += [tree.left[node], tree.right[node]]
+                i += 1
+            rank = np.empty(tree.n_nodes, dtype=np.intp)
+            rank[order] = np.arange(len(order))
+            inner = tree.feature[order] != LEAF
+            left = np.where(inner, rank[tree.left[order]], LEAF)
+            right = np.where(inner, rank[tree.right[order]], LEAF)
+            return Tree(tree.feature[order], tree.threshold[order], left, right,
+                        tree.value[order], tree.cover[order])
+
+        shuffled = [breadth_first(t) for t in model.trees]
+        assert any(not np.array_equal(a.feature, b.feature)
+                   for a, b in zip(model.trees, shuffled))
+        a = explain._path_table(model.trees, [t.value for t in model.trees], 1)
+        b = explain._path_table(shuffled, [t.value for t in shuffled], 1)
+        for name in ("feature", "lo", "hi", "value"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert [g.zero.tobytes() for g in a.groups] == [g.zero.tobytes() for g in b.groups]
+
     def test_table_build_block_does_not_change_entries(self, monkeypatch):
         zero = np.random.default_rng(15).uniform(0.05, 1.0, size=(37, 4))
         whole = explain._pattern_table(zero)

@@ -197,6 +197,17 @@ class TestPhysicalLineNumbers:
         with pytest.raises(MalformedHeader, match="non-numeric sample"):
             ingest.parse_channel(data)
 
+    @pytest.mark.parametrize("parse,data,line", [
+        (ingest.parse_channel, b"1602000000\n\n1.5\n2.0\n2.5\n", 2),
+        (ingest.parse_channel, b"\n\n0\n \n4\n1.0\n", 4),
+        (ingest.parse_acc, b"1,1,1\n\n32,32,32\n64,0,0\n", 2),
+    ], ids=["channel", "channel-after-leading-blanks", "ACC"])
+    def test_blank_line_inside_the_header(self, parse, data, line):
+        # Before, the line after the blank one was read as the next header
+        # line: the channel's first sample became its sampling rate.
+        with pytest.raises(MalformedHeader, match=f"blank line at line {line} inside"):
+            parse(data)
+
     def test_blank_lines_still_skipped_on_success(self):
         s = ingest.parse_channel(b"0\n4\n1.0\n\n  \n2.0\n")
         assert list(s.values) == [1.0, 2.0]
@@ -315,11 +326,14 @@ def e4_case(kind, part, mutation):
                     else (RaggedRow, "wrong number of fields"))
     elif kind == "ACC":
         expected = MalformedHeader, "three comma-separated fields"
+    elif mutation == "missing field":
+        # A channel header line without its one field is blank, so it is
+        # skipped, and the blank line that ends the header falls inside it.
+        expected = ((MalformedHeader, "blank line") if kind == "channel"
+                    else (MalformedHeader, "non-numeric start epoch"))
     else:
-        # Channel and IBI headers read their first field only. A channel
-        # header line without it is blank, so the next line takes its place.
-        expected = ((MalformedHeader, "non-numeric start epoch")
-                    if kind == "IBI" and mutation == "missing field" else None)
+        # Channel and IBI headers read their first field only.
+        expected = None
     return text, line, expected
 
 
@@ -344,7 +358,6 @@ class TestE4MutationTable:
     def test_only_the_width_rules_accept_a_case(self):
         accepted = [c for c in E4_CASES if e4_case(*c)[2] is None]
         assert accepted == [("channel", "header", "extra field"),
-                            ("channel", "header", "missing field"),
                             ("channel", "body", "missing field"),
                             ("IBI", "header", "extra field")]
 
@@ -452,6 +465,42 @@ class TestLoadSession:
         rec = ingest.load_session(tmp_path, entry)
         assert rec.segments[0].t_start == 1000.0
         assert rec.segments[0].t_end == 1030.0
+
+
+    def test_files_limits_what_is_read(self, tmp_path):
+        _write_session_files(tmp_path)
+        bvp = tmp_path / "BVP.csv"
+        bvp.write_text(bvp.read_text().replace("1000.0\n", "990.0\n", 1))
+        score_only = ingest.ManifestEntry("s1", ".", [], performance_score=171.0)
+        full = ingest.load_session(tmp_path, score_only)
+        some = ingest.load_session(tmp_path, score_only, {"EDA", "TEMP"})
+        assert list(some.channels) == ["EDA", "TEMP"] and some.ibi is None
+        assert not some.screening["BVP"].present and not some.screening["IBI"].present
+        # The span, and with it a score-only session's segment, covers the
+        # files read.
+        assert full.span == (990.0, 1060.0) and some.span == (1000.0, 1060.0)
+        assert (some.segments[0].t_start, some.segments[0].t_end) == some.span
+        early = ingest.ManifestEntry("s1", ".", [
+            {"label": "rest", "t_start": 990.0, "t_end": 1000.0}])
+        assert ingest.load_session(tmp_path, early).segments[0].t_start == 990.0
+        with pytest.raises(ManifestMismatch, match="outside the recorded span"):
+            ingest.load_session(tmp_path, early, {"EDA", "TEMP"})
+        with_ibi = ingest.load_session(tmp_path, score_only, {"HR", "IBI"})
+        assert list(with_ibi.channels) == ["HR"] and len(with_ibi.ibi) == 2
+
+    def test_relative_segment_times_read_eda(self, tmp_path):
+        _write_session_files(tmp_path)
+        entry = ingest.ManifestEntry(
+            "s1", ".", [{"label": "rest", "t_start": 0.0, "t_end": 30.0}],
+            times="relative")
+        rec = ingest.load_session(tmp_path, entry, {"TEMP"})
+        assert list(rec.channels) == ["EDA", "TEMP"]
+        assert rec.segments[0].t_start == 1000.0
+
+    def test_only_unread_files_is_no_channels(self, tmp_path):
+        _write_session_files(tmp_path)
+        with pytest.raises(NoChannels):
+            ingest.load_session(tmp_path, ingest.ManifestEntry("s1", ".", []), {"IBI"})
 
 
 class TestManifest:
