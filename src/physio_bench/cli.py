@@ -18,18 +18,13 @@ import os
 import sys
 import types
 import typing
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, PhysioBenchError, SchemaMismatch
-from .features import (
-    DEFAULT_FEATURE_CONFIG,
-    SCHEMA_PRESETS,
-    FeatureConfig,
-    FeatureTable,
-)
+from .features import SCHEMA_PRESETS, FeatureConfig, FeatureTable
 from .ingest import MODALITY_CHANNELS
 from .models import TrainConfig, model_from_json, train_model, tune_model
 from .models.base import DataMatrix
@@ -48,6 +43,12 @@ EXIT_DATA = 3
 #: other stage runs serially. Results are put back in fit or subject
 #: order, so it never changes an artifact.
 _EXECUTION_FIELDS = {"out", "jobs"}
+
+#: RunConfig field -> the stage-config field it sets, where the names
+#: differ. Every other RunConfig field sets the same-named field of
+#: `TrainConfig`, `FeatureConfig` or `WindowPolicy`, if it has one.
+_STAGE_NAMES = {"model": "kind", "trees": "n_trees", "split_mode": "splits",
+                "folds": "cv_folds"}
 
 
 @dataclass
@@ -123,37 +124,28 @@ class RunConfig:
         self.feature_config()  # validates detector fields
         self.train_config()  # validates model fields
 
+    def _stage_config(self, cls, **given):
+        """A `cls` built from the fields of this config that share its field
+        names, through `_STAGE_NAMES` where they differ, and `given`; its
+        other fields keep their defaults."""
+        names = {f.name for f in fields(cls)}
+        mapped = {_STAGE_NAMES.get(f.name, f.name): getattr(self, f.name)
+                  for f in fields(self)}
+        return cls(**{k: v for k, v in mapped.items() if k in names}, **given)
+
     def window_policy(self) -> WindowPolicy:
+        """By default the policy requires the modality files whose channels
+        the schema's features read."""
         required = self.required
         if required is None:
-            required = [m for m in SCHEMA_PRESETS[self.schema].modalities
-                        if m in MODALITY_CHANNELS]
-        return WindowPolicy(self.window_s, self.stride_s, self.min_fill,
-                            frozenset(required), self.label_rule)
+            required = SCHEMA_PRESETS[self.schema].files & MODALITY_CHANNELS.keys()
+        return self._stage_config(WindowPolicy, required_modalities=required)
 
     def feature_config(self) -> FeatureConfig:
-        return FeatureConfig(self.scr_min_prominence, self.scr_min_distance_s,
-                             DEFAULT_FEATURE_CONFIG.scr_tonic_window_s,
-                             self.bvp_min_rr_s, self.bvp_prominence_factor)
+        return self._stage_config(FeatureConfig)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            kind=self.model,
-            n_trees=self.trees,
-            learning_rate=self.learning_rate,
-            max_depth=self.max_depth,
-            max_leaves=self.max_leaves,
-            growth=self.growth,
-            splits=self.split_mode,
-            reg_lambda=self.reg_lambda,
-            min_samples_leaf=self.min_samples_leaf,
-            knn_k=self.knn_k,
-            svm_c=self.svm_c,
-            svm_sigma=self.svm_sigma,
-            l2=self.l2,
-            seed=self.seed,
-            cv_folds=self.folds,
-        )
+        return self._stage_config(TrainConfig)
 
     def provenance(self) -> dict:
         doc = asdict(self)

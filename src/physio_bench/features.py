@@ -361,8 +361,9 @@ class FeatureSchema:
 
     @property
     def modalities(self) -> list[str]:
-        """Modalities in order of first appearance; the window policy and
-        the ablation grid both take theirs from here."""
+        """Feature modalities (ablation labels) in order of first
+        appearance; the ablation grid takes its groups from here. What a
+        run reads and requires comes from `files`."""
         seen: list[str] = []
         for f in self.features:
             if f.modality not in seen:

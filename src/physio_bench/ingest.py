@@ -6,7 +6,7 @@ start epoch, its second line the sampling rate, and each further line one
 sample. ``ACC.csv`` carries the three axes under a matching two-line
 header, raw counts scaled to g by dividing by 64. ``IBI.csv``
 lists ``offset_seconds,duration_seconds`` beat events after a header line
-whose first field is the start epoch.
+whose first field is the start epoch and whose second is ``IBI``.
 
 All three file kinds share one reader: it skips blank lines, splits off
 the header lines and converts the body to a (rows, fields) array in one
@@ -17,8 +17,8 @@ non-number a `MalformedHeader`, each naming its physical line. An IBI row
 is kept when its duration is positive and its offset exceeds the largest
 offset of the earlier rows with a positive duration.
 
-`load_session` reads a session directory, or only the files a caller
-names: extraction reads just the files its schema needs.
+`load_session` reads every E4 file of a session directory, or only the
+files a caller names: extraction reads just the files its schema needs.
 
 A dataset manifest is a single JSON document listing sessions with their
 subject ids, paths (relative to the manifest), label segments, and an
@@ -57,6 +57,9 @@ MODALITY_CHANNELS = {
 }
 
 CHANNELS = tuple(ch for names in MODALITY_CHANNELS.values() for ch in names)
+
+#: Every E4 file of a session, by stem: the modality files and IBI.
+E4_FILES = frozenset({*MODALITY_CHANNELS, "IBI"})
 
 #: E4 accelerometer raw counts per g.
 ACC_COUNTS_PER_G = 64.0
@@ -250,9 +253,13 @@ def parse_ibi(data: bytes | str) -> tuple[EventSeries, int]:
     every earlier kept offset. That running max is taken over the earlier
     rows with a positive duration: a row dropped for its offset lies below
     it anyway. Returns the event series plus the number of rows dropped.
+    A header whose second field is not ``IBI`` is a `MalformedHeader`.
     """
     (header,), rows = _read(data, 1, 2)
-    start = _header_float(header.split(",")[0], "start epoch")
+    fields = header.split(",")
+    start = _header_float(fields[0], "start epoch")
+    if [f.strip() for f in fields[1:2]] != ["IBI"]:
+        raise MalformedHeader(f"IBI header must read '<start epoch>, IBI', got {header!r}")
     offsets, durations = rows[:, 0], rows[:, 1]
     positive = durations > 0
     prior = np.maximum.accumulate(np.where(positive, offsets, -np.inf))
@@ -400,18 +407,19 @@ def _resolve_segments(entry: ManifestEntry, eda_start: float | None,
 
 
 def load_session(dir_path: str | Path, entry: ManifestEntry,
-                 files: Collection[str] | None = None) -> Recording:
+                 files: Collection[str] = E4_FILES) -> Recording:
     """Load one session directory into a screened Recording.
 
     `files` names the E4 files to read by stem (a `MODALITY_CHANNELS` key
-    or "IBI"); None reads every file. EDA.csv is read as well whenever the
-    entry's segment times are relative, since they count from its start.
+    or "IBI"); the default reads every file. EDA.csv is read as well
+    whenever the entry's segment times are relative, since they count from
+    its start.
     The screening, the dropped IBI rows and the span cover only the files
     read: an unread file counts as absent, and a session whose read files
     are all absent or empty has no channels.
     """
     dir_path = Path(dir_path)
-    if files is not None and entry.times == "relative":
+    if entry.times == "relative":
         files = {*files, "EDA"}
     channels: dict[str, SampledSeries] = {}
     screening = {name: ChannelScreen() for name in CHANNELS}
@@ -419,7 +427,7 @@ def load_session(dir_path: str | Path, entry: ManifestEntry,
 
     for modality, names in MODALITY_CHANNELS.items():
         f = dir_path / f"{modality}.csv"
-        if (files is not None and modality not in files) or not f.is_file():
+        if modality not in files or not f.is_file():
             continue
         for name in names:
             screening[name].present = True
@@ -437,7 +445,7 @@ def load_session(dir_path: str | Path, entry: ManifestEntry,
     ibi = None
     ibi_dropped = 0
     ibi_file = dir_path / "IBI.csv"
-    if ibi_file.is_file() and (files is None or "IBI" in files):
+    if "IBI" in files and ibi_file.is_file():
         screening["IBI"].present = True
         ibi, ibi_dropped = parse_ibi(ibi_file.read_bytes())
         screening["IBI"].n_samples = len(ibi)

@@ -30,12 +30,8 @@ _TRAINERS = {
     "svm": train_svm_rbf,
 }
 
-_MODEL_CLASSES = {
-    "logistic": LogisticModel,
-    "knn": KnnModel,
-    "tree_ensemble": TreeEnsembleModel,
-    "svm": SvmModel,
-}
+_MODEL_CLASSES = {cls.kind: cls for cls in
+                  (LogisticModel, KnnModel, TreeEnsembleModel, SvmModel)}
 
 
 def train_model(data: DataMatrix, cfg: TrainConfig):

@@ -443,16 +443,10 @@ class _GiniForest:
         self.value = np.where(inner[:, None], 0.0, counts / self.cover[:, None])
 
 
-def grow_gini_tree(X, y, n_classes: int, features: np.ndarray,
-                   max_depth: int | None, min_leaf: int, splitter=None) -> Tree:
-    """Gini-impurity classification tree on X[:, features]; leaves hold
-    class distributions. `splitter` is (a bagging fit's `_GiniForest`
-    search, this tree's index in it), and the tree is read off that
-    search; when None, the tree is searched alone, as a forest of one."""
-    if splitter is None:
-        splitter = (_GiniForest(X, y, n_classes, np.arange(len(y))[None],
-                                np.asarray(features)[None], max_depth, min_leaf), 0)
-    forest, t = splitter
+def grow_gini_tree(forest: _GiniForest, t: int, features: np.ndarray) -> Tree:
+    """Tree t of a `_GiniForest` search, read off it in preorder; leaves
+    hold class distributions. `features`, the tree's feature subset, maps
+    the search's local feature indices back to data columns."""
     tree = _in_preorder(t, forest.feature, forest.threshold, forest.left,
                         forest.left + 1, forest.value, forest.cover)
     inner = tree.feature != LEAF
@@ -554,8 +548,7 @@ def train_tree_ensemble(data: DataMatrix, cfg: TrainConfig) -> TreeEnsembleModel
                               np.sort(rng.choice(d, size=n_sub, replace=False))))
             rows, feats = (np.array(a) for a in zip(*draws))
             forest = _GiniForest(X, y, K, rows, feats, depth, min_leaf)
-            trees += [grow_gini_tree(X[r], y[r], K, f, depth, min_leaf, (forest, i))
-                      for i, (r, f) in enumerate(draws)]
+            trees += [grow_gini_tree(forest, i, f) for i, f in enumerate(feats)]
         return TreeEnsembleModel("bagging", classes, trees, [LEAF] * len(trees),
                                  1.0, np.zeros(K), stats, list(data.feature_names))
 

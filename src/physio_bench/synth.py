@@ -104,7 +104,6 @@ class VolterraCoeffs:
     w6: float = 0.0   # zA^2
     cubic: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
     threshold: float = 0.0
-    flip_prob: float = 0.0
     #: Latent draws with |g - threshold| below this margin are redrawn, so
     #: block labels are not dominated by boundary noise.
     label_margin: float = 0.0
@@ -466,8 +465,6 @@ def generate_session(spec: SessionSpec, coeffs: VolterraCoeffs | None,
                 z = rng.uniform(-1.0, 1.0, size=4)
                 g = volterra_response(z, coeffs)
             label = spec.classes[1] if g > coeffs.threshold else spec.classes[0]
-            if coeffs.flip_prob > 0 and rng.random() < coeffs.flip_prob:
-                label = spec.classes[1] if label == spec.classes[0] else spec.classes[0]
             labels.append(label)
             eda_levels[b] = params.eda_level_gain * z[0]
             u_shifts[b] = params.ou_mean_gain * z[0]

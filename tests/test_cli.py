@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from physio_bench.cli import RunConfig, build_parser, load_config, main
-from physio_bench.features import SCHEMA_PRESETS
+from physio_bench.features import DEFAULT_FEATURE_CONFIG, SCHEMA_PRESETS, FeatureConfig
+from physio_bench.models import TrainConfig
+from physio_bench.windowing import WindowPolicy
 from test_ingest import E4_CASES, e4_case
 
 
@@ -213,9 +215,10 @@ class TestExtractReadsSchemaFiles:
     that the schema's features and the required modalities need."""
 
     @pytest.mark.parametrize("schema,corrupt", [
+        ("stress_14", ("BVP.csv", "HR.csv")),
         ("stress_16", ("BVP.csv",)),
         ("cogload_16", ("HR.csv", "IBI.csv")),
-    ], ids=["stress_16-BVP", "cogload_16-HR-IBI"])
+    ], ids=["stress_14-BVP-HR", "stress_16-BVP", "cogload_16-HR-IBI"])
     def test_corrupt_unread_files_are_ignored(self, tmp_path, monkeypatch, e4_cohort,
                                               schema, corrupt):
         argv = ["extract", "--schema", schema]
@@ -224,6 +227,22 @@ class TestExtractReadsSchemaFiles:
         for name in ("features.csv", "extract_report.json"):
             assert ((tmp_path / "bad/run" / name).read_bytes()
                     == (tmp_path / "clean/run" / name).read_bytes())
+
+    def test_stress_14_keeps_a_session_without_hr(self, tmp_path, monkeypatch, e4_cohort):
+        data = tmp_path / "cohort"
+        shutil.copytree(e4_cohort, data)
+        (data / "sessions/S000/HR.csv").unlink()
+        for schema in ("stress_14", "stress_16"):
+            argv = ["extract", "--schema", schema]
+            assert _in_copy(tmp_path, monkeypatch, e4_cohort, f"{schema}-clean", argv) == 0
+            assert _in_copy(tmp_path, monkeypatch, data, f"{schema}-no-hr", argv) == 0
+        # stress_16 reads hr_mean and hr_std from HR.csv, so it skips S000.
+        report = json.loads((tmp_path / "stress_16-no-hr/run/extract_report.json")
+                            .read_text())["report"]
+        assert "required modality HR" in report["sessions"]["S000"]["skipped"]
+        for name in ("features.csv", "extract_report.json"):
+            assert ((tmp_path / "stress_14-no-hr/run" / name).read_bytes()
+                    == (tmp_path / "stress_14-clean/run" / name).read_bytes())
 
     def test_required_modality_is_read_again(self, tmp_path, monkeypatch, capfd,
                                              e4_cohort):
@@ -600,19 +619,82 @@ FLAG_VALUES = {
 }
 
 
-@pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
-def test_flag_sets_its_field_with_its_type(name):
-    text, expected = FLAG_VALUES[name]
-    assert getattr(RunConfig(), name) != expected
+def _flag_config(name) -> RunConfig:
+    """The config of an `evaluate` run given only `name`'s flag from FLAG_VALUES."""
+    text = FLAG_VALUES[name][0]
     argv = ["evaluate", "--" + name.replace("_", "-")]
     args = build_parser().parse_args(argv + ([] if text is None else [text]))
-    cfg = load_config(None, {k: v for k, v in vars(args).items()
-                             if k not in ("command", "config")})
+    return load_config(None, {k: v for k, v in vars(args).items()
+                              if k not in ("command", "config")})
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
+def test_flag_sets_its_field_with_its_type(name):
+    expected = FLAG_VALUES[name][1]
+    assert getattr(RunConfig(), name) != expected
+    cfg = _flag_config(name)
     value = getattr(cfg, name)
     assert type(value) is type(expected)
     assert value == expected
     others = {f.name for f in fields(RunConfig)} - {name}
     assert all(getattr(cfg, o) == getattr(RunConfig(), o) for o in others)
+
+
+#: RunConfig field -> (the RunConfig method that builds its stage config,
+#: the stage-config field it sets).
+STAGE_FIELDS = {
+    **{name: ("window_policy", name)
+       for name in ("window_s", "stride_s", "min_fill", "label_rule")},
+    "required": ("window_policy", "required_modalities"),
+    **{name: ("feature_config", name)
+       for name in ("scr_min_prominence", "scr_min_distance_s", "bvp_min_rr_s",
+                    "bvp_prominence_factor")},
+    **{name: ("train_config", name)
+       for name in ("learning_rate", "max_depth", "max_leaves", "growth", "reg_lambda",
+                    "min_samples_leaf", "knn_k", "svm_c", "svm_sigma", "l2", "seed")},
+    "model": ("train_config", "kind"),
+    "trees": ("train_config", "n_trees"),
+    "split_mode": ("train_config", "splits"),
+    "folds": ("train_config", "cv_folds"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STAGE_FIELDS))
+def test_flag_reaches_its_stage_config(name):
+    method, stage_field = STAGE_FIELDS[name]
+    expected = FLAG_VALUES[name][1]
+    if name == "required":
+        expected = frozenset(expected)
+    assert getattr(getattr(RunConfig(), method)(), stage_field) != expected
+    assert getattr(getattr(_flag_config(name), method)(), stage_field) == expected
+
+
+@pytest.mark.parametrize("cls,method,unset", [
+    (WindowPolicy, "window_policy", set()),
+    (FeatureConfig, "feature_config", {"scr_tonic_window_s"}),
+    (TrainConfig, "train_config", {"n_bins", "grid"}),
+])
+def test_only_the_unset_stage_fields_keep_their_defaults(cls, method, unset):
+    reached = {f for m, f in STAGE_FIELDS.values() if m == method}
+    assert {f.name for f in fields(cls)} - reached == unset
+
+
+def test_default_run_config_gives_the_default_stage_configs():
+    assert RunConfig().train_config() == TrainConfig()
+    assert RunConfig().feature_config() == DEFAULT_FEATURE_CONFIG
+
+
+@pytest.mark.parametrize("schema,required", [
+    ("stress_14", {"EDA", "TEMP", "ACC"}),
+    ("stress_16", {"EDA", "TEMP", "HR", "ACC"}),
+    ("exam_18", {"EDA", "TEMP", "HR", "ACC", "BVP"}),
+    ("cogload_16", {"EDA", "TEMP", "BVP", "ACC"}),
+])
+def test_schema_requires_the_modality_files_its_features_read(schema, required):
+    policy = RunConfig(schema=schema).window_policy()
+    assert policy.required_modalities == required
+    given = RunConfig(schema=schema, required=["HR"]).window_policy()
+    assert given.required_modalities == {"HR"}
 
 
 class TestUsageExits:

@@ -232,6 +232,14 @@ class TestParseIbi:
         assert list(events.offsets) == [2.0]
         assert dropped == 1
 
+    @pytest.mark.parametrize("data", [b"\n1.0,0.8\n2.0,0.8\n", b"0\n1.0,0.8\n",
+                                      b"0, BVP\n1.0,0.8\n"],
+                             ids=["blank-header", "epoch-only", "other-stream"])
+    def test_header_without_ibi_is_malformed(self, data):
+        # A blank header line would make the first beat's offset the epoch.
+        with pytest.raises(MalformedHeader, match="IBI header"):
+            ingest.parse_ibi(data)
+
     @pytest.mark.parametrize("row,error", [("1.0,nan", NonFiniteSample),
                                            ("1.0", RaggedRow),
                                            ("x,0.8", MalformedHeader)])

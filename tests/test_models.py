@@ -40,7 +40,7 @@ from physio_bench.models.base import (
 )
 from physio_bench.models.logistic import _loss_grad
 from physio_bench.models import base, logistic, svm, trees
-from physio_bench.models.trees import LEAF, MIN_GAIN, grow_gini_tree
+from physio_bench.models.trees import LEAF, MIN_GAIN, _GiniForest, grow_gini_tree
 
 
 def _blobs(n=60, gap=6.0, seed=0, d=3):
@@ -864,7 +864,9 @@ class TestGiniSplitEquivalence:
         X, y, n_classes, draws = _bagging_draws(data, cfg)
         for t in (0, 7, 11):
             rows, feats = draws[t]
-            alone = grow_gini_tree(X[rows], y[rows], n_classes, feats, max_depth, 2)
+            forest = _GiniForest(X[rows], y[rows], n_classes, np.arange(len(rows))[None],
+                                 feats[None], max_depth, 2)
+            alone = grow_gini_tree(forest, 0, feats)
             assert _tree_json([alone]) == _tree_json([model.trees[t]])
 
 
@@ -881,8 +883,10 @@ class TestBagging:
 
     def test_pure_dataset_gives_single_leaf_probability_one(self):
         X = np.random.default_rng(0).normal(size=(10, 2))
-        tree = grow_gini_tree(X, np.zeros(10, dtype=np.intp), 2,
-                              np.array([0, 1]), None, 2)
+        feats = np.array([0, 1])
+        forest = _GiniForest(X, np.zeros(10, dtype=np.intp), 2, np.arange(10)[None],
+                             feats[None], None, 2)
+        tree = grow_gini_tree(forest, 0, feats)
         assert tree.n_nodes == 1
         assert np.allclose(tree.value[0], [1.0, 0.0])
 
@@ -1240,6 +1244,10 @@ class TestSerialization:
 
 
 class TestTuning:
+    def test_every_kind_has_a_trainer_and_a_grid(self):
+        from physio_bench.models import DEFAULT_GRIDS, _TRAINERS
+        assert set(TrainConfig.KINDS) == set(_TRAINERS) == set(DEFAULT_GRIDS)
+
     @pytest.mark.parametrize("folds", [0, 1])
     def test_fewer_than_two_folds_is_a_folds_error(self, folds):
         data = _blobs(n=40, gap=1.0, seed=18)

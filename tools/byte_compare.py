@@ -5,8 +5,9 @@
 
 `run` writes the quick-start command set of two cohorts into OUT, importing
 the package from CHECKOUT/src (default: this checkout); commands run inside
-OUT on relative paths. It leaves 178 files (89 per cohort). `compare` names each file that differs between two
-such directories, ignoring only the `model_path` provenance string.
+OUT on relative paths. It leaves 186 files (93 per cohort). `compare` names
+each file that differs between two such directories, ignoring only the
+`model_path` provenance string.
 """
 
 import argparse
@@ -24,13 +25,18 @@ MODEL_PATH = re.compile(rb'"model_path": ?"[^"]*"')
 
 
 def commands(name, preset, n, duration, schema):
-    """The command lines of one cohort, without the common flags."""
+    """The command lines of one cohort, without the common flags; a flag
+    given here wins over the common one."""
     feats = ["--features", f"{name}/run/features.csv"]
     manifest = ["--manifest", f"{name}/data/manifest.json"]
     duration = [] if duration is None else ["--duration-s", str(duration)]
     yield ["synth", "--preset", preset, "--n-subjects", str(n), *duration,
            "--out", f"{name}/data"]
     yield ["extract", *manifest, "--out", f"{name}/run"]
+    # The two other layouts' file sets: stress_14 reads no HR.csv, exam_18
+    # reads every modality file.
+    for other in ("stress_14", "exam_18"):
+        yield ["extract", *manifest, "--schema", other, "--out", f"{name}/extract-{other}"]
     yield ["summary", *manifest, "--out", f"{name}/summary"]
     # Extracted in-process from the manifest, so the table that `extract`
     # wrote is compared with the one a model command loads itself.
@@ -54,8 +60,10 @@ def run(out: Path, jobs: int, src: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=str(src.resolve() / "src"))
     for cohort in COHORTS:
-        for argv in commands(*cohort):
-            argv += ["--seed", "7", "--jobs", str(jobs), "--schema", cohort[-1]]
+        for command, *flags in commands(*cohort):
+            # The last of two same flags wins, so the common flags go first.
+            argv = [command, "--seed", "7", "--jobs", str(jobs), "--schema", cohort[-1],
+                    *flags]
             print(" ".join(argv), flush=True)
             subprocess.run([sys.executable, "-m", "physio_bench.cli", *argv],
                            cwd=out, env=env, check=True)
