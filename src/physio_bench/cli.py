@@ -39,9 +39,10 @@ EXIT_DATA = 3
 
 #: Fields that never change results, excluded from provenance so reruns
 #: stay byte-identical. `jobs` is the number of forked workers that run
-#: the (config, fold) fits of ablate and the sessions of synth; every
-#: other stage runs serially. Results are put back in fit or subject
-#: order, so it never changes an artifact.
+#: the (config, fold) fits of ablate, the sessions of synth, and the
+#: sessions that extract, summary and every --manifest feed load; every
+#: other stage runs serially. Results are put back in fit, subject or
+#: manifest order, so it never changes an artifact.
 _EXECUTION_FIELDS = {"out", "jobs"}
 
 #: RunConfig field -> the stage-config field it sets, where the names
@@ -225,7 +226,7 @@ def _load_table(cfg: RunConfig) -> FeatureTable:
 
     if cfg.features is None:
         table, _ = extract_table(_need_manifest(cfg), cfg.window_policy(),
-                                 cfg.schema, cfg.feature_config())
+                                 cfg.schema, cfg.feature_config(), cfg.jobs)
         return table
     if not Path(cfg.features).is_file():
         raise ConfigError(f"feature CSV not found: {cfg.features}")
@@ -246,7 +247,7 @@ def cmd_extract(cfg: RunConfig) -> dict:
     from .pipeline import extract_table
 
     table, report = extract_table(_need_manifest(cfg), cfg.window_policy(),
-                                  cfg.schema, cfg.feature_config())
+                                  cfg.schema, cfg.feature_config(), cfg.jobs)
     log.info("extract kept %d windows", len(table))
     return {"features.csv": table, "extract_report.json": {"report": report}}
 
@@ -369,7 +370,7 @@ def cmd_synth(cfg: RunConfig) -> dict:
 def cmd_summary(cfg: RunConfig) -> dict:
     from .pipeline import summary_doc
 
-    return {"summary.json": summary_doc(_need_manifest(cfg))}
+    return {"summary.json": summary_doc(_need_manifest(cfg), cfg.jobs)}
 
 
 COMMANDS = {

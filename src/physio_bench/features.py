@@ -479,6 +479,20 @@ def build_table(windows: list[Window], schema: FeatureSchema,
     return FeatureTable(schema, X, subjects, starts, labels)
 
 
+def join_tables(tables: list[FeatureTable]) -> FeatureTable:
+    """The rows of `tables`, which share one schema, ordered by
+    (subject_id, window_start) as `build_table` orders them; rows that tie
+    keep their order in `tables`. So joining the tables `build_table` makes
+    of consecutive parts of a window list gives the table it makes of the
+    whole list."""
+    subjects = np.concatenate([t.subjects for t in tables])
+    starts = np.concatenate([t.window_starts for t in tables])
+    order = sorted(range(len(subjects)), key=lambda i: (subjects[i], starts[i]))
+    return FeatureTable(tables[0].schema, np.concatenate([t.X for t in tables])[order],
+                        subjects[order], starts[order],
+                        np.concatenate([t.labels for t in tables])[order])
+
+
 def table_to_csv(table: FeatureTable) -> str:
     header = ["subject_id", "window_start", "label"] + table.schema.names
     lines = [",".join(header)]

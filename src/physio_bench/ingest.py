@@ -309,8 +309,9 @@ def _number(value) -> bool:
 def load_manifest(path: str | Path) -> tuple[list[ManifestEntry], Path]:
     """Load a dataset manifest; session paths resolve relative to it. A
     manifest that is not an object, sessions or segments that are not
-    lists of objects, and a segment time or performance score that is not
-    a finite number raise DataError."""
+    lists of objects, a segment time or performance score that is not a
+    finite number, and a session directory listed twice raise DataError.
+    Different sessions may share a subject_id."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -329,6 +330,7 @@ def load_manifest(path: str | Path) -> tuple[list[ManifestEntry], Path]:
     if not _objects(doc.get("sessions", [])):
         raise DataError("manifest sessions must be a list of objects")
     entries = []
+    seen = set()
     for raw in doc.get("sessions", []):
         unknown = set(raw) - _SESSION_KEYS
         if unknown:
@@ -347,6 +349,10 @@ def load_manifest(path: str | Path) -> tuple[list[ManifestEntry], Path]:
                 raise DataError(f"unknown segment keys: {sorted(set(seg) - _SEGMENT_KEYS)}")
             if not (_number(seg.get("t_start")) and _number(seg.get("t_end"))):
                 raise DataError(f"{where}: every segment needs numeric t_start and t_end")
+        directory = (path.parent / str(raw["path"])).resolve()
+        if directory in seen:
+            raise DataError(f"{where}: session directory {raw['path']} is listed twice")
+        seen.add(directory)
         entries.append(
             ManifestEntry(
                 subject_id=str(raw["subject_id"]),

@@ -1,9 +1,12 @@
 """End-to-end orchestration shared by the CLI commands, and the one
 writer of their artifacts.
 
-Sessions are loaded, windowed and summarised one after another in
-manifest order; `--jobs` does not apply here. It parallelises only the
-fits of ablate and the sessions of synth (see `parallel.py`).
+Sessions are extracted and summarised independently, on up to `--jobs`
+forked workers (see `parallel.py`). A worker loads one session and sends
+back only what the parent keeps of it: its feature rows and report entry,
+or its channel statistics. The parent goes through them in manifest order,
+so every artifact is the same at any `--jobs`, and a failing run reports
+the earliest failing session's error, whichever stage raised it.
 
 Extraction, whether by `extract` or by a model command fed a manifest,
 parses only the E4 files that the run needs: those the schema's features
@@ -34,10 +37,12 @@ from .features import (
     FeatureTable,
     SCHEMA_PRESETS,
     build_table,
+    join_tables,
     table_from_csv,
     table_to_csv,
 )
-from .ingest import ManifestEntry, load_dataset, load_manifest, load_session
+from .ingest import ManifestEntry, load_manifest, load_session
+from .parallel import map_ordered
 from .windowing import WindowPolicy, segment_with_report
 
 log = logging.getLogger("physio_bench.pipeline")
@@ -75,8 +80,8 @@ def _session_windows(path: Path, entry: ManifestEntry, policy: WindowPolicy,
                      files: frozenset[str]) -> tuple[list, dict]:
     """One session's windows and its extract-report entry, from the E4
     `files` only; an unusable session gives no windows and the reason it
-    was skipped. The raw recording is released on return, so only one is
-    held at a time."""
+    was skipped. The raw recording is released on return, so each worker
+    holds one at a time."""
     try:
         rec = load_session(path, entry, files)
         windows, report = segment_with_report(rec, policy)
@@ -93,10 +98,11 @@ def _session_windows(path: Path, entry: ManifestEntry, policy: WindowPolicy,
 
 
 def extract_table(manifest_path: str | Path, policy: WindowPolicy,
-                  schema_name: str, feature_cfg: FeatureConfig = DEFAULT_FEATURE_CONFIG
-                  ) -> tuple[FeatureTable, dict]:
+                  schema_name: str, feature_cfg: FeatureConfig = DEFAULT_FEATURE_CONFIG,
+                  jobs: int = 1) -> tuple[FeatureTable, dict]:
     """Manifest to assembled feature table, skipping unusable sessions.
-    Sessions are loaded and windowed serially, in manifest order."""
+    Each session is loaded, windowed and featurized on its own, on up to
+    `jobs` forked workers; the session tables are joined in manifest order."""
     if schema_name not in SCHEMA_PRESETS:
         from .errors import SchemaMismatch
         raise SchemaMismatch(
@@ -106,16 +112,19 @@ def extract_table(manifest_path: str | Path, policy: WindowPolicy,
     entries, base = load_manifest(manifest_path)
     files = schema.files | policy.required_modalities
 
-    windows = []
+    def extract_one(entry: ManifestEntry) -> tuple[FeatureTable | None, dict]:
+        windows, info = _session_windows(base / entry.path, entry, policy, files)
+        return (build_table(windows, schema, feature_cfg) if windows else None), info
+
+    results = map_ordered(extract_one, entries, jobs)
     sessions_report = {}
-    for entry in entries:
-        session_windows, info = _session_windows(base / entry.path, entry, policy, files)
-        windows.extend(session_windows)
+    for entry, (_, info) in zip(entries, results):
         sessions_report[entry.subject_id] = info
         log.info("session %s: %s", entry.subject_id, info)
-    if not windows:
+    tables = [t for t, _ in results if t is not None]
+    if not tables:
         raise DataError("no windows retained from any session")
-    table = build_table(windows, schema, feature_cfg)
+    table = join_tables(tables)
     report = {"sessions": sessions_report, "windows": len(table),
               "schema": schema_name}
     return table, report
@@ -154,14 +163,15 @@ def read_table(path: str | Path, schema_name: str = "custom") -> FeatureTable:
     return table_from_csv(body, schema_name)
 
 
-def summary_doc(manifest_path: str | Path) -> dict:
-    """Per-subject and cross-subject mean/std of each raw channel, over the
-    manifest's sessions loaded serially in manifest order."""
-    recordings = load_dataset(manifest_path)
-    per_subject: dict[str, dict] = {}
-    channel_names = sorted({ch for r in recordings for ch in r.channels})
-    for rec in recordings:
-        per_subject[rec.subject_id] = {
+def summary_doc(manifest_path: str | Path, jobs: int = 1) -> dict:
+    """Per-subject and cross-subject mean/std of each raw channel. Each
+    session is loaded and summarised on its own, on up to `jobs` forked
+    workers; the cross-subject block is made from them in manifest order."""
+    entries, base = load_manifest(manifest_path)
+
+    def summarise_one(entry: ManifestEntry) -> tuple[str, dict]:
+        rec = load_session(base / entry.path, entry)
+        return rec.subject_id, {
             ch: {
                 "mean": float(np.mean(s.values)),
                 "std": float(np.std(s.values)),
@@ -169,6 +179,10 @@ def summary_doc(manifest_path: str | Path) -> dict:
             }
             for ch, s in sorted(rec.channels.items())
         }
+
+    sessions = map_ordered(summarise_one, entries, jobs)
+    per_subject = dict(sessions)
+    channel_names = sorted({ch for _, channels in sessions for ch in channels})
     cross = {}
     for ch in channel_names:
         means = [per_subject[s][ch]["mean"] for s in per_subject if ch in per_subject[s]]

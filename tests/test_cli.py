@@ -111,8 +111,12 @@ class TestSynthExtract:
          "performance_score must be a number"),
         ({"sessions": [{"subject_id": "a", "path": "a", "times": "local"}]},
          "times must be"),
+        ({"sessions": [{"subject_id": "a", "path": "s/a"},
+                       {"subject_id": "b", "path": "s/../s/a"}]},
+         "session b: session directory s/../s/a is listed twice"),
     ], ids=["list-of-object", "list-of-numbers", "sessions-not-list",
-            "segments-not-list", "no-t_start", "text-t_start", "text-score", "bad-times"])
+            "segments-not-list", "no-t_start", "text-t_start", "text-score", "bad-times",
+            "same-directory-twice"])
     def test_malformed_manifest_is_data_error(self, tmp_path, monkeypatch, capfd, doc,
                                               problem):
         (tmp_path / "m.json").write_text(json.dumps(doc))

@@ -1,14 +1,17 @@
-"""`parallel.map_ordered` and the `ablate --jobs` and `synth --jobs` paths
-built on it.
+"""`parallel.map_ordered` and the `--jobs` paths built on it: the fits of
+`ablate`, the sessions of `synth`, and the sessions that `extract`,
+`summary` and a `--manifest` feed load.
 
 Pool sizing is checked through a stand-in executor that runs the workers'
 code in this process, so those tests start no process. The others start
-at most two forked workers.
+at most two forked workers, except the `--jobs 8` session runs, which
+start one per session of a five-session cohort.
 """
 
 import concurrent.futures
 import json
 import multiprocessing
+import shutil
 import subprocess
 import sys
 import time
@@ -18,6 +21,7 @@ import pytest
 
 import physio_bench
 from physio_bench import parallel
+from physio_bench.cli import main
 from test_cli import _feature_csv, _run, synth_data  # noqa: F401
 
 
@@ -211,3 +215,121 @@ class TestSynthJobs:
             for root in (tmp_path / "j1", tmp_path / "j2"))
         assert len(one) == 1 + 3 * 6  # the manifest and six files per session
         assert one == two
+
+
+@pytest.fixture(scope="module")
+def session_cohort(tmp_path_factory):
+    """Five sessions for the session pools. The third (directory S002) is
+    listed as a second session of subject S000, so S000's windows come
+    from two sessions whose window starts tie; S004 keeps only 10 s of
+    TEMP, too short for any window, so it is skipped for no usable span."""
+    data = tmp_path_factory.mktemp("sessions") / "data"
+    assert main(["synth", "--preset", "interaction", "--n-subjects", "5",
+                 "--duration-s", "250", "--seed", "6", "--out", str(data)]) == 0
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["sessions"][2]["subject_id"] = "S000"
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    temp = data / "sessions/S004/TEMP.csv"
+    temp.write_text("\n".join(temp.read_text().split("\n")[:2 + 40]) + "\n")
+    return data
+
+
+#: The commands that load sessions: a model command fed --manifest
+#: extracts its table in-process.
+_SESSION_COMMANDS = {
+    "extract": (["extract"], ("features.csv", "extract_report.json")),
+    "summary": (["summary"], ("summary.json",)),
+    "evaluate": (["evaluate", "--model", "logistic", "--seed", "5"], ("results.json",)),
+}
+
+
+class TestSessionJobs:
+    @pytest.mark.parametrize("command", sorted(_SESSION_COMMANDS))
+    def test_every_jobs_level_writes_the_same_bytes_and_leaves_no_worker(
+            self, session_cohort, tmp_path, monkeypatch, command):
+        argv, names = _SESSION_COMMANDS[command]
+        written = {}
+        for jobs in ("1", "2", "8"):
+            assert _run(tmp_path, monkeypatch, argv + [
+                "--manifest", str(session_cohort / "manifest.json"),
+                "--jobs", jobs, "--out", "j" + jobs]) == 0
+            assert multiprocessing.active_children() == []
+            written[jobs] = [(tmp_path / ("j" + jobs) / name).read_bytes()
+                             for name in names]
+        assert written["2"] == written["1"]
+        assert written["8"] == written["1"]
+
+    def test_cohort_has_a_skipped_session_and_a_two_session_subject(
+            self, session_cohort, tmp_path, monkeypatch):
+        assert _run(tmp_path, monkeypatch, [
+            "extract", "--manifest", str(session_cohort / "manifest.json"),
+            "--jobs", "2", "--out", "run"]) == 0
+        report = json.loads((tmp_path / "run/extract_report.json").read_text())["report"]
+        assert report["sessions"]["S004"]["skipped"].startswith("no usable span")
+        rows = [ln.split(",")[0] for ln in (tmp_path / "run/features.csv")
+                .read_text().splitlines()[2:]]
+        assert rows.count("S000") == 2 * rows.count("S001") > 0
+        assert "S004" not in rows
+
+    def test_joined_session_tables_are_the_table_of_all_windows(self, session_cohort):
+        # The one-table extraction that the per-session tables replace:
+        # every session's windows in manifest order, assembled together.
+        from physio_bench.cli import RunConfig
+        from physio_bench.features import SCHEMA_PRESETS, build_table, table_to_csv
+        from physio_bench.ingest import load_manifest
+        from physio_bench.pipeline import _session_windows, extract_table
+
+        manifest = session_cohort / "manifest.json"
+        policy = RunConfig().window_policy()
+        schema = SCHEMA_PRESETS["stress_16"]
+        entries, base = load_manifest(manifest)
+        windows = [w for e in entries for w in _session_windows(
+            base / e.path, e, policy, schema.files | policy.required_modalities)[0]]
+        table, _ = extract_table(manifest, policy, "stress_16")
+        assert table_to_csv(table) == table_to_csv(build_table(windows, schema))
+
+    @pytest.mark.parametrize("argv, sizes", [
+        (["extract", "--jobs", "10000"], [5]),
+        (["summary", "--jobs", "10000"], [5]),
+        (["ablate", "--folds", "3", "--trees", "3", "--jobs", "10000"], [5, 9 * 3]),
+        (["extract"], []),
+    ], ids=["extract", "summary", "ablate-fed-manifest", "one-job"])
+    def test_one_worker_per_session_at_most(self, pool_sizes, session_cohort, tmp_path,
+                                            monkeypatch, argv, sizes):
+        # A model command fed --manifest runs the extract pool to its end
+        # before it opens its own.
+        assert _run(tmp_path, monkeypatch, argv + [
+            "--manifest", str(session_cohort / "manifest.json"), "--out", "run"]) == 0
+        assert pool_sizes == sizes
+
+    def test_one_job_never_imports_multiprocessing(self, session_cohort, tmp_path):
+        for command in ("extract", "summary"):
+            assert not _imports_multiprocessing(tmp_path, [
+                command, "--manifest", str(session_cohort / "manifest.json"),
+                "--out", command])
+
+    def test_earliest_failing_session_is_reported_whatever_its_stage(
+            self, session_cohort, tmp_path, monkeypatch, capfd):
+        # Session 1 fails in features: TEMP is not required, so its windows
+        # are cut without it, and then temp_mean has no channel. Session 3
+        # fails in loading. The session-1 error is reported at any --jobs.
+        data = tmp_path / "data"
+        shutil.copytree(session_cohort, data)
+        (data / "sessions/S000/TEMP.csv").unlink()
+        (data / "sessions/S002/EDA.csv").write_text("0\n4\nabc\n")
+        errors = {}
+        for jobs in ("1", "2"):
+            capfd.readouterr()
+            code = _run(tmp_path, monkeypatch, [
+                "extract", "--manifest", "data/manifest.json", "--required", "EDA",
+                "--jobs", jobs, "--out", "run" + jobs])
+            errors[jobs] = code, [ln for ln in capfd.readouterr().err.splitlines()
+                                  if ln.startswith("{")]
+            assert multiprocessing.active_children() == []
+            assert not (tmp_path / ("run" + jobs)).exists()
+        assert errors["2"] == errors["1"]
+        code, (line,) = errors["1"]
+        assert code == 3
+        error = json.loads(line)["error"]
+        assert error["type"] == "MissingRequiredModality"
+        assert "TEMP" in error["message"] and "subject S000" in error["message"]
