@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptyMask, KExceedsSubjects, TooFewModalities
-from .evaluation import SplitPlan, accuracy_score, evaluate_fold, macro_f1_score
+from .errors import ConfigError, EmptyMask, TooFewModalities
+from .evaluation import SplitPlan, check_fold_count, evaluate_fold, observed_metrics
 from .models.base import DataMatrix, TrainConfig
 from .parallel import map_ordered
 from .stats import TestResult, compare_to_baseline, correct_batch
@@ -52,11 +52,9 @@ class AblationRow:
             "per_fold_f1": self.per_fold_f1,
             "per_fold_acc": self.per_fold_acc,
         }
-        doc.update(self.test.to_dict() if self.test is not None else {
-            "test": None, "statistic": None, "p_raw": None, "n": None,
-            "shapiro_p": None, "d": None, "p_corrected": None,
-            "significant": None,
-        })
+        doc.update(self.test.to_dict() if self.test is not None else dict.fromkeys((
+            "test", "statistic", "p_raw", "n", "shapiro_p", "d", "p_corrected",
+            "significant")))
         return doc
 
 
@@ -98,10 +96,7 @@ def balanced_grouped_folds(matrix: DataMatrix, k: int, seed: int) -> SplitPlan:
     increases squared deviation from the global per-fold label proportion.
     """
     subjects = sorted(set(matrix.groups))
-    if k > len(subjects):
-        raise KExceedsSubjects(f"k={k} exceeds {len(subjects)} subjects")
-    if k < 2:
-        raise KExceedsSubjects("k must be >= 2")
+    check_fold_count(k, len(subjects))
     classes = sorted(set(str(v) for v in matrix.labels))
     counts = {}
     for s in subjects:
@@ -152,8 +147,8 @@ def run_ablation(matrix: DataMatrix, model_cfg: TrainConfig, k: int = 5,
     def fit(item):
         sub, (train_subj, test_subj) = item
         rec = evaluate_fold(sub, model_cfg, train_subj, test_subj)
-        return (macro_f1_score(rec["y_true"], rec["y_pred"]),
-                accuracy_score(rec["y_true"], rec["y_pred"]))
+        metrics = observed_metrics(rec["y_true"], rec["y_pred"])
+        return metrics.macro_f1, metrics.accuracy
 
     subs = [mask_features(matrix, config) for config in configs]
     scores = map_ordered(fit, [(sub, fold) for sub in subs for fold in plan.folds],
@@ -161,8 +156,7 @@ def run_ablation(matrix: DataMatrix, model_cfg: TrainConfig, k: int = 5,
     rows: list[AblationRow] = []
     baseline_f1: list[float] | None = None
     for i, config in enumerate(configs):
-        f1s = [f1 for f1, _ in scores[i * k:(i + 1) * k]]
-        accs = [acc for _, acc in scores[i * k:(i + 1) * k]]
+        f1s, accs = map(list, zip(*scores[i * k:(i + 1) * k]))
         test = None
         if config.name == "All":
             baseline_f1 = f1s
@@ -182,28 +176,15 @@ def run_ablation(matrix: DataMatrix, model_cfg: TrainConfig, k: int = 5,
 
 def ablation_csv(rows: list[AblationRow]) -> str:
     """Table-shaped CSV: config, F1/accuracy mean and std, then the
-    statistical columns."""
-    header = ("config,f1_mean,f1_std,acc_mean,acc_std,shapiro_p,test,stat,"
-              "p_raw,p_corrected,d,significant")
-    lines = [header]
+    statistical columns, empty for the baseline."""
+    from .pipeline import csv_text
+
+    table = [("config", "f1_mean", "f1_std", "acc_mean", "acc_std", "shapiro_p", "test",
+              "stat", "p_raw", "p_corrected", "d", "significant")]
     for r in rows:
-        if r.test is None:
-            stat_cols = ["", "", "", "", "", "", ""]
-        else:
-            t = r.test
-            stat_cols = [
-                _num(t.normality_p), t.test_name, _num(t.statistic),
-                _num(t.p_value), _num(t.p_corrected), _num(t.effect_size_d),
-                "Yes" if t.significant else "No",
-            ]
-        lines.append(",".join(
-            [r.config, _num(r.f1_mean), _num(r.f1_std), _num(r.acc_mean),
-             _num(r.acc_std)] + stat_cols
-        ))
-    return "\n".join(lines) + "\n"
-
-
-def _num(v) -> str:
-    if v is None:
-        return ""
-    return format(float(v), ".9g")
+        t = r.test
+        stat_cols = (None,) * 7 if t is None else (
+            t.normality_p, t.test_name, t.statistic, t.p_value, t.p_corrected,
+            t.effect_size_d, "Yes" if t.significant else "No")
+        table.append((r.config, r.f1_mean, r.f1_std, r.acc_mean, r.acc_std, *stat_cols))
+    return csv_text(table)

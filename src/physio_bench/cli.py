@@ -28,7 +28,7 @@ from .features import SCHEMA_PRESETS, FeatureConfig, FeatureTable
 from .ingest import MODALITY_CHANNELS
 from .models import TrainConfig, model_from_json, train_model, tune_model
 from .models.base import DataMatrix
-from .pipeline import write_artifacts
+from .pipeline import csv_text, write_artifacts
 from .windowing import WindowPolicy
 
 log = logging.getLogger("physio_bench.cli")
@@ -304,15 +304,11 @@ def cmd_evaluate(cfg: RunConfig) -> dict:
 
 def cmd_loso(cfg: RunConfig) -> dict:
     results = _evaluate(cfg, "loso")
-    lines = ["subject_id,n_windows,accuracy"]
-    accs = []
-    for fold in results["per_fold"]:
-        sid = fold["test_subjects"][0]
-        acc = fold["metrics"]["accuracy"]
-        accs.append(acc)
-        lines.append(f"{sid},{fold['n_windows']},{format(acc, '.9g')}")
-    lines.append(f"mean,,{format(float(np.mean(accs)), '.9g')}")
-    return {"results.json": results, "loso_subjects.csv": "\n".join(lines) + "\n"}
+    rows = [(f["test_subjects"][0], f["n_windows"], f["metrics"]["accuracy"])
+            for f in results["per_fold"]]
+    mean = ("mean", None, float(np.mean([acc for *_, acc in rows])))
+    return {"results.json": results, "loso_subjects.csv": csv_text(
+        [("subject_id", "n_windows", "accuracy"), *rows, mean])}
 
 
 def cmd_ablate(cfg: RunConfig) -> dict:
@@ -326,6 +322,7 @@ def cmd_ablate(cfg: RunConfig) -> dict:
 
 
 def cmd_explain(cfg: RunConfig) -> dict:
+    from .explain import check_explainable
     from .pipeline import (
         attributions_csv,
         class_summary_csv,
@@ -338,11 +335,7 @@ def cmd_explain(cfg: RunConfig) -> dict:
     if not Path(cfg.model_path).is_file():
         raise ConfigError(f"model file not found: {cfg.model_path}")
     model = model_from_json(Path(cfg.model_path).read_text())
-    if model.kind not in ("tree_ensemble", "logistic"):
-        raise ConfigError(
-            f"SHAP explanations support tree ensembles and the linear model, "
-            f"not {model.kind!r}"
-        )
+    check_explainable(model)
     table = _load_table(cfg)
     unknown = sorted(set(map(str, table.labels)) - set(model.classes))
     if unknown:

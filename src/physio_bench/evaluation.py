@@ -57,13 +57,18 @@ def subject_holdout_split(subjects, test_fraction: float, seed: int) -> SplitPla
     return SplitPlan("holdout", [(train, test)], seed)
 
 
+def check_fold_count(k: int, n_subjects: int) -> None:
+    """KExceedsSubjects unless 2 <= k <= n_subjects."""
+    if k > n_subjects:
+        raise KExceedsSubjects(f"k={k} exceeds {n_subjects} subjects")
+    if k < 2:
+        raise KExceedsSubjects("k must be >= 2")
+
+
 def grouped_kfold(subjects, k: int, seed: int) -> SplitPlan:
     """Shuffle subjects by seed and deal them round-robin into k folds."""
     subjects = sorted(set(subjects))
-    if k > len(subjects):
-        raise KExceedsSubjects(f"k={k} exceeds {len(subjects)} subjects")
-    if k < 2:
-        raise KExceedsSubjects("k must be >= 2")
+    check_fold_count(k, len(subjects))
     rng = np.random.default_rng(seed)
     order = list(subjects)
     rng.shuffle(order)
@@ -154,15 +159,14 @@ def classification_metrics(cm: ConfusionMatrix) -> MetricsReport:
                          degenerate_classes=degenerate)
 
 
-def macro_f1_score(y_true, y_pred) -> float:
+def observed_metrics(y_true, y_pred) -> MetricsReport:
+    """`classification_metrics` over the classes found in either list."""
     classes = sorted({str(v) for v in y_true} | {str(v) for v in y_pred})
-    return classification_metrics(confusion_matrix(y_true, y_pred, classes)).macro_f1
+    return classification_metrics(confusion_matrix(y_true, y_pred, classes))
 
 
-def accuracy_score(y_true, y_pred) -> float:
-    if len(y_true) != len(y_pred):
-        raise LengthMismatch(f"{len(y_true)} true vs {len(y_pred)} predicted")
-    return float(np.mean([str(t) == str(p) for t, p in zip(y_true, y_pred)]))
+def macro_f1_score(y_true, y_pred) -> float:
+    return observed_metrics(y_true, y_pred).macro_f1
 
 
 def roc_auc(scores, labels) -> float:

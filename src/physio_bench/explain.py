@@ -325,17 +325,19 @@ def linear_shap(model: LogisticModel, x: np.ndarray,
                        xi, subject_id, window_start)
 
 
+def check_explainable(model) -> None:
+    """ConfigError unless `model` is a tree ensemble or the linear model."""
+    if not isinstance(model, (TreeEnsembleModel, LogisticModel)):
+        raise ConfigError(
+            f"SHAP explanations support tree ensembles and the linear model, "
+            f"not {model.kind!r}"
+        )
+
+
 def explain_input(model, x: np.ndarray, **kw) -> Attribution:
-    """Dispatch to the exact explainer for the model kind; distance- and
-    margin-based models (k-NN, SVM) are rejected."""
-    if isinstance(model, TreeEnsembleModel):
-        return tree_shap(model, x, **kw)
-    if isinstance(model, LogisticModel):
-        return linear_shap(model, x, **kw)
-    raise ConfigError(
-        f"SHAP explanations support tree ensembles and the linear model, "
-        f"not {model.kind!r}"
-    )
+    """Dispatch to the exact explainer for the model kind."""
+    check_explainable(model)
+    return (tree_shap if isinstance(model, TreeEnsembleModel) else linear_shap)(model, x, **kw)
 
 
 # --- aggregation ------------------------------------------------------------------

@@ -494,14 +494,12 @@ def join_tables(tables: list[FeatureTable]) -> FeatureTable:
 
 
 def table_to_csv(table: FeatureTable) -> str:
-    header = ["subject_id", "window_start", "label"] + table.schema.names
-    lines = [",".join(header)]
-    for i in range(len(table)):
-        row = [str(table.subjects[i]), repr(float(table.window_starts[i])),
-               str(table.labels[i])]
-        row.extend(format(v, ".9g") for v in table.X[i])
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    """Window starts are written by `repr`, so `table_from_csv` reads them back exactly."""
+    from .pipeline import csv_text
+
+    return csv_text([["subject_id", "window_start", "label", *table.schema.names]] + [
+        [str(s), repr(float(t)), str(label), *x] for s, t, label, x
+        in zip(table.subjects, table.window_starts, table.labels, table.X.tolist())])
 
 
 def table_from_csv(text: str, schema_name: str = "custom") -> FeatureTable:

@@ -306,11 +306,18 @@ def _number(value) -> bool:
             and math.isfinite(value))
 
 
+def _splits_csv_cell(text: str) -> bool:
+    """Whether `text` holds a comma or any line boundary of `str.splitlines`."""
+    return "," in text or len((text + ".").splitlines()) > 1
+
+
 def load_manifest(path: str | Path) -> tuple[list[ManifestEntry], Path]:
     """Load a dataset manifest; session paths resolve relative to it. A
     manifest that is not an object, sessions or segments that are not
     lists of objects, a segment time or performance score that is not a
     finite number, and a session directory listed twice raise DataError.
+    So do a subject_id or segment label with a comma or a line break, and
+    a subject_id that starts with '#' (a comment line in a CSV artifact).
     Different sessions may share a subject_id."""
     path = Path(path)
     try:
@@ -338,6 +345,10 @@ def load_manifest(path: str | Path) -> tuple[list[ManifestEntry], Path]:
         if "subject_id" not in raw or "path" not in raw:
             raise DataError("every session needs subject_id and path")
         where = f"session {raw['subject_id']}"
+        subject_id = str(raw["subject_id"])
+        if _splits_csv_cell(subject_id) or subject_id.startswith("#"):
+            raise DataError(f"{where}: subject_id {subject_id!r} may not contain a "
+                            "comma or a line break, nor start with '#'")
         if raw.get("times", default_times) not in ("absolute", "relative"):
             raise DataError(f"{where}: times must be 'absolute' or 'relative'")
         if raw.get("performance_score") is not None and not _number(raw["performance_score"]):
@@ -349,13 +360,16 @@ def load_manifest(path: str | Path) -> tuple[list[ManifestEntry], Path]:
                 raise DataError(f"unknown segment keys: {sorted(set(seg) - _SEGMENT_KEYS)}")
             if not (_number(seg.get("t_start")) and _number(seg.get("t_end"))):
                 raise DataError(f"{where}: every segment needs numeric t_start and t_end")
+            if "label" in seg and _splits_csv_cell(str(seg["label"])):
+                raise DataError(f"{where}: segment label {seg['label']!r} may not contain "
+                                "a comma or a line break")
         directory = (path.parent / str(raw["path"])).resolve()
         if directory in seen:
             raise DataError(f"{where}: session directory {raw['path']} is listed twice")
         seen.add(directory)
         entries.append(
             ManifestEntry(
-                subject_id=str(raw["subject_id"]),
+                subject_id=subject_id,
                 path=str(raw["path"]),
                 segments=list(raw.get("segments", [])),
                 performance_score=raw.get("performance_score"),

@@ -18,7 +18,10 @@ file.
 Each command returns its outputs as `{file name: body}`, and
 `write_artifacts` writes them all once the computation has finished: it
 stamps every JSON document and every CSV header with the run's
-provenance, and encodes non-finite floats the same way everywhere."""
+provenance, and encodes non-finite floats the same way everywhere.
+`csv_text` writes every CSV body from its rows and is the one place that
+formats a cell; cells are not quoted, so `load_manifest` rejects the
+subject ids and labels that would break a row."""
 
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, NoChannels, NoUsableSpan
+from .errors import DataError, NoChannels, NoUsableSpan, SchemaMismatch
 from .explain import Attribution, class_summary, explain_input, global_importance
 from .features import (
     DEFAULT_FEATURE_CONFIG,
@@ -104,7 +107,6 @@ def extract_table(manifest_path: str | Path, policy: WindowPolicy,
     Each session is loaded, windowed and featurized on its own, on up to
     `jobs` forked workers; the session tables are joined in manifest order."""
     if schema_name not in SCHEMA_PRESETS:
-        from .errors import SchemaMismatch
         raise SchemaMismatch(
             f"unknown schema {schema_name!r}; presets: {sorted(SCHEMA_PRESETS)}"
         )
@@ -128,6 +130,21 @@ def extract_table(manifest_path: str | Path, policy: WindowPolicy,
     report = {"sessions": sessions_report, "windows": len(table),
               "schema": schema_name}
     return table, report
+
+
+def csv_text(rows) -> str:
+    """The CSV body of `rows`, one line per row: a float cell (numpy
+    floats too) is written as `format(v, ".9g")`, None as an empty cell,
+    anything else by `str()`."""
+    return "".join([",".join(map(_cell, row)) + "\n" for row in rows])
+
+
+def _cell(v) -> str:
+    if type(v) is str:  # most cells; skips the slower numpy type check
+        return v
+    if isinstance(v, (float, np.floating)):
+        return format(v, ".9g")
+    return "" if v is None else str(v)
 
 
 def provenance_line(provenance: dict) -> str:
@@ -198,18 +215,13 @@ def summary_doc(manifest_path: str | Path, jobs: int = 1) -> dict:
 
 
 def attributions_csv(attributions: list[Attribution]) -> str:
-    header = "subject_id,window_start,class,feature,value,shap"
-    lines = [header]
+    rows = [("subject_id", "window_start", "class", "feature", "value", "shap")]
     for att in attributions:
-        sid = att.subject_id if att.subject_id is not None else ""
-        ws = repr(float(att.window_start)) if att.window_start is not None else ""
-        for ci, cls in enumerate(att.classes):
-            for j, name in enumerate(att.feature_names):
-                lines.append(
-                    f"{sid},{ws},{cls},{name},"
-                    f"{format(att.x[j], '.9g')},{format(att.phi[ci, j], '.9g')}"
-                )
-    return "\n".join(lines) + "\n"
+        ws = repr(float(att.window_start)) if att.window_start is not None else None
+        for cls, phi in zip(att.classes, att.phi.tolist()):
+            rows.extend((att.subject_id, ws, cls, name, v, p)
+                        for name, v, p in zip(att.feature_names, att.x.tolist(), phi))
+    return csv_text(rows)
 
 
 def explain_table(model, table: FeatureTable) -> tuple[list[Attribution], dict]:
@@ -233,16 +245,9 @@ def explain_table(model, table: FeatureTable) -> tuple[list[Attribution], dict]:
 
 def class_summary_csv(attributions: list[Attribution], labels) -> str:
     summary = class_summary(attributions, list(labels))
-    header = "class,feature,mean_shap,mean_abs_shap,value_shap_corr"
-    lines = [header]
-    for cls in sorted(summary):
-        for row in summary[cls]:
-            lines.append(
-                f"{cls},{row['feature']},{format(row['mean_shap'], '.9g')},"
-                f"{format(row['mean_abs_shap'], '.9g')},"
-                f"{format(row['value_shap_corr'], '.9g')}"
-            )
-    return "\n".join(lines) + "\n"
+    return csv_text([("class", "feature", "mean_shap", "mean_abs_shap", "value_shap_corr")] + [
+        (cls, r["feature"], r["mean_shap"], r["mean_abs_shap"], r["value_shap_corr"])
+        for cls in sorted(summary) for r in summary[cls]])
 
 
 def importance_doc(attributions: list[Attribution], audit: dict) -> dict:

@@ -114,9 +114,26 @@ class TestSynthExtract:
         ({"sessions": [{"subject_id": "a", "path": "s/a"},
                        {"subject_id": "b", "path": "s/../s/a"}]},
          "session b: session directory s/../s/a is listed twice"),
+        # A subject_id or label that would split a CSV cell or row, or a
+        # subject_id that makes its features.csv rows comment lines.
+        ({"sessions": [{"subject_id": "S,1", "path": "a"}]},
+         "session S,1: subject_id 'S,1' may not contain a comma"),
+        ({"sessions": [{"subject_id": "#S2", "path": "a"}]},
+         "nor start with '#'"),
+        ({"sessions": [{"subject_id": "S\n3", "path": "a"}]}, "or a line break"),
+        ({"sessions": [{"subject_id": "S4\r", "path": "a"}]}, "or a line break"),
+        ({"sessions": [{"subject_id": "S\u20285", "path": "a"}]}, "or a line break"),
+        ({"sessions": [{"subject_id": "a", "path": "a", "segments": [
+            {"t_start": 0, "t_end": 5, "label": "high,low"}]}]},
+         "session a: segment label 'high,low' may not contain a comma"),
+        ({"sessions": [{"subject_id": "a", "path": "a", "segments": [
+            {"t_start": 0, "t_end": 5, "label": "high\x1clow"}]}]},
+         "or a line break"),
     ], ids=["list-of-object", "list-of-numbers", "sessions-not-list",
             "segments-not-list", "no-t_start", "text-t_start", "text-score", "bad-times",
-            "same-directory-twice"])
+            "same-directory-twice", "subject-comma", "subject-hash", "subject-newline",
+            "subject-carriage-return", "subject-line-separator", "label-comma",
+            "label-file-separator"])
     def test_malformed_manifest_is_data_error(self, tmp_path, monkeypatch, capfd, doc,
                                               problem):
         (tmp_path / "m.json").write_text(json.dumps(doc))
@@ -517,6 +534,21 @@ class TestTrainExplain:
         doc = json.loads(capfd.readouterr().err.strip().splitlines()[-1])
         assert "knn" in doc["error"]["message"]
 
+    @pytest.mark.parametrize("kind", ["knn", "svm"])
+    def test_explain_rejects_the_model_before_the_table(self, synth_data, tmp_path,
+                                                        monkeypatch, capfd, kind):
+        _run(tmp_path, monkeypatch, [
+            "extract", "--manifest", "data/manifest.json", "--out", "run"])
+        _run(tmp_path, monkeypatch, [
+            "train", "--features", "run/features.csv", "--model", kind, "--out", "run"])
+        code = _run(tmp_path, monkeypatch, [
+            "explain", "--model-path", "run/model.json", "--features", "missing.csv",
+            "--out", "explained"])
+        assert code == 2
+        assert _error(capfd)["message"] == (
+            f"SHAP explanations support tree ensembles and the linear model, not {kind!r}")
+        assert not (tmp_path / "explained").exists()
+
     @pytest.mark.parametrize("model,edit", [
         (None, "{not json"),
         (None, "[]"),
@@ -819,6 +851,24 @@ class TestConfigHandling:
                 if pattern.search(path.read_text())}
         assert hits == {"pipeline.py", "ingest.py"}
 
+    def test_only_pipeline_formats_csv_cells(self):
+        # `pipeline.csv_text` writes every CSV body, so the cell format
+        # lives in one function.
+        import physio_bench
+        hits = {path.name
+                for path in sorted(Path(physio_bench.__file__).parent.rglob("*.py"))
+                if ".9g" in path.read_text()}
+        assert hits == {"pipeline.py"}
+
+    def test_csv_text_cells(self):
+        from physio_bench.pipeline import csv_text
+
+        rows = [("a", 1, 0.1 + 0.2, np.float64(2) / 3, None),
+                (float("nan"), float("inf"), -np.inf, np.float32(0.5), 123456789012.0)]
+        assert csv_text(rows) == ("a,1,0.3,0.666666667,\n"
+                                  "nan,inf,-inf,0.5,1.23456789e+11\n")
+        assert csv_text([]) == ""
+
     @pytest.mark.parametrize(
         "flag", ["--learning-rate", "--reg-lambda", "--svm-c", "--l2", "--svm-sigma"])
     def test_nan_hyperparameter_is_config_error(self, tmp_path, monkeypatch,
@@ -910,10 +960,13 @@ class TestConfigHandling:
             "ablation.csv", "attributions.csv", "class_summary.csv",
             "features.csv", "loso_subjects.csv"]
         for path in csvs:
-            head = path.read_text().splitlines()[0]
+            head, header, *body = path.read_text().splitlines()
             assert head.startswith("# "), path.name
             doc = json.loads(head[2:], parse_constant=reject)
             assert doc["config"]["svm_c"] == "inf", path.name
+            assert body, path.name
+            for row in body:
+                assert row.count(",") == header.count(","), (path.name, row)
 
     def test_json_artifacts_are_strict_json_under_non_finite_config(
             self, tmp_path, monkeypatch):
