@@ -4,9 +4,10 @@
 modality's channels as columns. A single-channel file's first line is the
 start epoch, its second line the sampling rate, and each further line one
 sample. ``ACC.csv`` carries the three axes under a matching two-line
-header, raw counts scaled to g by dividing by 64. ``IBI.csv``
-lists ``offset_seconds,duration_seconds`` beat events after a header line
-whose first field is the start epoch and whose second is ``IBI``.
+header, raw counts (integers of 1/64 g on an E4) scaled to g by dividing
+by 64. ``IBI.csv`` lists ``offset_seconds,duration_seconds`` beat events
+after a header line whose first field is the start epoch and whose second
+is ``IBI``.
 
 All three file kinds share one reader: it skips blank lines, splits off
 the header lines and converts the body to a (rows, fields) array in one
@@ -306,9 +307,11 @@ def _number(value) -> bool:
             and math.isfinite(value))
 
 
-def _splits_csv_cell(text: str) -> bool:
-    """Whether `text` holds a comma or any line boundary of `str.splitlines`."""
-    return "," in text or len((text + ".").splitlines()) > 1
+def _breaks_csv_row(text: str) -> bool:
+    """Whether `text`, as the first cell of a CSV row, would split its cell
+    or row (a comma or any line boundary of `str.splitlines`) or make the
+    row a comment line (a leading '#')."""
+    return "," in text or len((text + ".").splitlines()) > 1 or text.startswith("#")
 
 
 def load_manifest(path: str | Path) -> tuple[list[ManifestEntry], Path]:
@@ -316,8 +319,8 @@ def load_manifest(path: str | Path) -> tuple[list[ManifestEntry], Path]:
     manifest that is not an object, sessions or segments that are not
     lists of objects, a segment time or performance score that is not a
     finite number, and a session directory listed twice raise DataError.
-    So do a subject_id or segment label with a comma or a line break, and
-    a subject_id that starts with '#' (a comment line in a CSV artifact).
+    So does a subject_id or segment label with a comma or a line break,
+    or that starts with '#' (a comment line in a CSV artifact).
     Different sessions may share a subject_id."""
     path = Path(path)
     try:
@@ -346,7 +349,7 @@ def load_manifest(path: str | Path) -> tuple[list[ManifestEntry], Path]:
             raise DataError("every session needs subject_id and path")
         where = f"session {raw['subject_id']}"
         subject_id = str(raw["subject_id"])
-        if _splits_csv_cell(subject_id) or subject_id.startswith("#"):
+        if _breaks_csv_row(subject_id):
             raise DataError(f"{where}: subject_id {subject_id!r} may not contain a "
                             "comma or a line break, nor start with '#'")
         if raw.get("times", default_times) not in ("absolute", "relative"):
@@ -360,9 +363,9 @@ def load_manifest(path: str | Path) -> tuple[list[ManifestEntry], Path]:
                 raise DataError(f"unknown segment keys: {sorted(set(seg) - _SEGMENT_KEYS)}")
             if not (_number(seg.get("t_start")) and _number(seg.get("t_end"))):
                 raise DataError(f"{where}: every segment needs numeric t_start and t_end")
-            if "label" in seg and _splits_csv_cell(str(seg["label"])):
+            if "label" in seg and _breaks_csv_row(str(seg["label"])):
                 raise DataError(f"{where}: segment label {seg['label']!r} may not contain "
-                                "a comma or a line break")
+                                "a comma or a line break, nor start with '#'")
         directory = (path.parent / str(raw["path"])).resolve()
         if directory in seen:
             raise DataError(f"{where}: session directory {raw['path']} is listed twice")
@@ -503,7 +506,8 @@ def load_dataset(manifest_path: str | Path) -> list[Recording]:
 
 def _fmt(v: float) -> str:
     """Shortest decimal representation that reparses to the same float;
-    for float64 arrays, `map(repr, a.tolist())` gives the same text."""
+    for float64 arrays, `map(repr, a.tolist())` gives the same text. Every
+    value written is this text, except integral ACC counts (`write_acc`)."""
     return repr(float(v))
 
 
@@ -514,13 +518,23 @@ def write_channel(series: SampledSeries) -> str:
 
 
 def write_acc(x: SampledSeries, y: SampledSeries, z: SampledSeries) -> str:
-    # Scale back to raw counts; multiply/divide by 64 is exact in binary fp.
+    """The three axes as ACC.csv, scaled back to raw counts (multiplying by
+    64 is exact in binary floating point). When every count is an integer
+    and none is -0.0, as on an E4, the body is written as integers;
+    otherwise each count is its shortest round-tripping float, so any
+    input parses back bit for bit."""
     lines = [
         ",".join(_fmt(s.start_epoch) for s in (x, y, z)),
         ",".join(_fmt(s.rate_hz) for s in (x, y, z)),
     ]
     raw = np.stack([x.values, y.values, z.values], axis=1) * ACC_COUNTS_PER_G
-    lines.extend(",".join(map(repr, row)) for row in raw.tolist())
+    with np.errstate(invalid="ignore"):   # NaN, inf: caught by the comparison
+        counts = raw.astype(np.int64)
+    if counts.astype(np.float64).tobytes() == raw.tobytes():
+        fmt, rows = "%d,%d,%d", counts
+    else:
+        fmt, rows = "%r,%r,%r", raw
+    lines.extend(map(fmt.__mod__, map(tuple, rows.tolist())))
     return "\n".join(lines) + "\n"
 
 
@@ -533,8 +547,10 @@ def write_ibi(ibi: EventSeries) -> str:
 
 
 def write_session(dir_path: str | Path, rec: Recording) -> None:
-    """Write a Recording as an E4 session directory (full-precision floats):
-    one file per modality whose channels are all present."""
+    """Write a Recording as an E4 session directory, one file per modality
+    whose channels are all present. Every value parses back bit for bit:
+    integral ACC counts are written as integers, everything else as
+    full-precision floats."""
     dir_path = Path(dir_path)
     os.makedirs(dir_path, exist_ok=True)
     for modality, names in MODALITY_CHANNELS.items():

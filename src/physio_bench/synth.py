@@ -19,6 +19,10 @@ separate.
 
 The HR forcing offset, EDA level and input shift, TEMP target and ACC
 amplitude each follow a block schedule, one value per `block_s` block.
+
+ACC is quantized to the E4's integer counts of 1/64 g, so `write_dataset`
+writes `ACC.csv` as integers and the in-memory Recording equals what is
+parsed back. The other channels keep full float precision.
 """
 
 from __future__ import annotations
@@ -30,7 +34,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ArityMismatch, BlowUp, ConfigError, UnknownClass
-from .ingest import CHANNELS, EventSeries, LabelSegment, Recording, SampledSeries
+from .ingest import (
+    ACC_COUNTS_PER_G,
+    CHANNELS,
+    EventSeries,
+    LabelSegment,
+    Recording,
+    SampledSeries,
+)
 
 RATE_EDA = 4.0
 RATE_TEMP = 4.0
@@ -496,6 +507,14 @@ def generate_session(spec: SessionSpec, coeffs: VolterraCoeffs | None,
             SampledSeries(spec.start_epoch, RATE_ACC, np.concatenate(parts[j]))
             for j in range(3)
         )
+    # The E4 stores ACC as integer counts of 1/64 g: quantize each axis once,
+    # so the Recording equals what ACC.csv parses back to (+ 0.0 makes -0.0
+    # a plain 0 count).
+    acc_series = tuple(
+        SampledSeries(s.start_epoch, s.rate_hz,
+                      (np.round(s.values * ACC_COUNTS_PER_G) + 0.0) / ACC_COUNTS_PER_G)
+        for s in acc_series
+    )
 
     hr = simulate_hr(params, duration, seed, hr_offsets, spec.block_s,
                      spec.start_epoch)

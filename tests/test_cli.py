@@ -114,8 +114,8 @@ class TestSynthExtract:
         ({"sessions": [{"subject_id": "a", "path": "s/a"},
                        {"subject_id": "b", "path": "s/../s/a"}]},
          "session b: session directory s/../s/a is listed twice"),
-        # A subject_id or label that would split a CSV cell or row, or a
-        # subject_id that makes its features.csv rows comment lines.
+        # A subject_id or label that would split a CSV cell or row, or that
+        # makes its features.csv or class_summary.csv rows comment lines.
         ({"sessions": [{"subject_id": "S,1", "path": "a"}]},
          "session S,1: subject_id 'S,1' may not contain a comma"),
         ({"sessions": [{"subject_id": "#S2", "path": "a"}]},
@@ -129,11 +129,15 @@ class TestSynthExtract:
         ({"sessions": [{"subject_id": "a", "path": "a", "segments": [
             {"t_start": 0, "t_end": 5, "label": "high\x1clow"}]}]},
          "or a line break"),
+        ({"sessions": [{"subject_id": "a", "path": "a", "segments": [
+            {"t_start": 0, "t_end": 5, "label": "#high"}]}]},
+         "session a: segment label '#high' may not contain a comma or a line break, "
+         "nor start with '#'"),
     ], ids=["list-of-object", "list-of-numbers", "sessions-not-list",
             "segments-not-list", "no-t_start", "text-t_start", "text-score", "bad-times",
             "same-directory-twice", "subject-comma", "subject-hash", "subject-newline",
             "subject-carriage-return", "subject-line-separator", "label-comma",
-            "label-file-separator"])
+            "label-file-separator", "label-hash"])
     def test_malformed_manifest_is_data_error(self, tmp_path, monkeypatch, capfd, doc,
                                               problem):
         (tmp_path / "m.json").write_text(json.dumps(doc))

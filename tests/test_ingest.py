@@ -564,6 +564,28 @@ class TestRoundTrip:
         for orig, rt in zip(series, back):
             assert np.array_equal(rt.values, orig.values)
 
+    @pytest.mark.parametrize("counts,as_integers", [
+        ([[35, -16, 53], [0, 0, 64], [-2 ** 53, 1, 2 ** 40]], True),
+        ([[35, -16, 53], [0.5, 0, 64]], False),
+        ([[35, -16, 53], [-0.0, 0, 64]], False),
+        (np.random.default_rng(6).normal(size=(50, 3)) * 64.0, False),
+    ], ids=["integer-counts", "half-count", "negative-zero", "normal"])
+    def test_acc_body_is_integers_only_when_every_count_is(self, counts, as_integers):
+        """Integral counts are written as integers; any other table, a -0.0
+        count included, as each count's repr, the text of the float writer.
+        Either way every axis parses back bit for bit, sign of zero too."""
+        counts = np.array(counts, dtype=np.float64)
+        series = [ingest.SampledSeries(123.25, 32.0, counts[:, j] / 64.0) for j in range(3)]
+        text = ingest.write_acc(*series)
+        header, body = text.splitlines()[:2], text.splitlines()[2:]
+        assert header == ["123.25,123.25,123.25", "32.0,32.0,32.0"]
+        if as_integers:
+            assert body == [f"{x},{y},{z}" for x, y, z in counts.astype(np.int64).tolist()]
+        else:
+            assert body == [",".join(map(repr, row)) for row in counts.tolist()]
+        for orig, rt in zip(series, ingest.parse_acc(text)):
+            assert rt.values.tobytes() == orig.values.tobytes()
+
     def test_session_round_trip_writes_only_whole_modalities(self, tmp_path):
         rng = np.random.default_rng(8)
         channels = {

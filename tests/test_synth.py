@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -448,6 +449,23 @@ class TestGenerateSession:
             for ch in orig.channels:
                 assert np.array_equal(orig.channels[ch].values,
                                       rt.channels[ch].values)
+
+    @pytest.mark.parametrize("preset", ["interaction", "stress3"])
+    def test_written_acc_is_integer_counts(self, tmp_path, preset):
+        """ACC.csv holds integer counts of 1/64 g, as on an E4, in both
+        generator modes, and the generator's axes, which hold no -0.0,
+        parse back bit for bit."""
+        from physio_bench.ingest import parse_acc
+
+        synth.write_dataset(tmp_path, preset, 1, seed=18, duration_s=130.0)
+        (orig,) = synth.generate_recordings(preset, 1, seed=18, duration_s=130.0)
+        text = (tmp_path / "sessions" / orig.subject_id / "ACC.csv").read_text()
+        assert all(re.fullmatch(r"-?\d+,-?\d+,-?\d+", row)
+                   for row in text.splitlines()[2:])
+        for axis, back in zip(("ACC_X", "ACC_Y", "ACC_Z"), parse_acc(text)):
+            values = orig.channels[axis].values
+            assert back.values.tobytes() == values.tobytes()
+            assert not np.signbit(values[values == 0]).any()
 
     @pytest.mark.parametrize("block_s", [0.0, -60.0, math.nan])
     def test_non_positive_block_length_rejected(self, block_s):
