@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, EmptyMask, TooFewModalities
-from .evaluation import SplitPlan, check_fold_count, evaluate_fold, observed_metrics
+from .evaluation import SplitPlan, check_fold_count, observed_metrics, run_folds
 from .models.base import DataMatrix, TrainConfig
-from .parallel import map_ordered
 from .stats import TestResult, compare_to_baseline, correct_batch
 
 
@@ -130,7 +129,7 @@ def balanced_grouped_folds(matrix: DataMatrix, k: int, seed: int) -> SplitPlan:
 
     all_subjects = frozenset(subjects)
     folds = [(all_subjects - frozenset(m), frozenset(m)) for m in fold_members]
-    return SplitPlan("balanced_kfold", folds, seed)
+    return SplitPlan("balanced_kfold", folds)
 
 
 def run_ablation(matrix: DataMatrix, model_cfg: TrainConfig, k: int = 5,
@@ -144,19 +143,16 @@ def run_ablation(matrix: DataMatrix, model_cfg: TrainConfig, k: int = 5,
     configs = enumerate_configs_for_matrix(matrix)
     plan = balanced_grouped_folds(matrix, k, seed)
 
-    def fit(item):
-        sub, (train_subj, test_subj) = item
-        rec = evaluate_fold(sub, model_cfg, train_subj, test_subj)
+    def score(rec):
         metrics = observed_metrics(rec["y_true"], rec["y_pred"])
         return metrics.macro_f1, metrics.accuracy
 
-    subs = [mask_features(matrix, config) for config in configs]
-    scores = map_ordered(fit, [(sub, fold) for sub in subs for fold in plan.folds],
-                         jobs)
+    scores = run_folds([(mask_features(matrix, c), model_cfg) for c in configs],
+                       plan, score, jobs)
     rows: list[AblationRow] = []
     baseline_f1: list[float] | None = None
-    for i, config in enumerate(configs):
-        f1s, accs = map(list, zip(*scores[i * k:(i + 1) * k]))
+    for config, fold_scores in zip(configs, scores):
+        f1s, accs = map(list, zip(*fold_scores))
         test = None
         if config.name == "All":
             baseline_f1 = f1s

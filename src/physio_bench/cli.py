@@ -19,6 +19,7 @@ import sys
 import types
 import typing
 from dataclasses import asdict, dataclass, fields
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +41,9 @@ EXIT_DATA = 3
 #: Fields that never change results, excluded from provenance so reruns
 #: stay byte-identical. `jobs` is the number of forked workers that run
 #: the (config, fold) fits of ablate, the sessions of synth, and the
-#: sessions that extract, summary and every --manifest feed load; every
-#: other stage runs serially. Results are put back in fit, subject or
+#: sessions that extract, summary and every --manifest feed load. The
+#: evaluate, loso and tune folds go through the same `run_folds` as
+#: ablate's, but on one worker. Results are put back in fit, subject or
 #: manifest order, so it never changes an artifact.
 _EXECUTION_FIELDS = {"out", "jobs"}
 
@@ -266,7 +268,7 @@ def cmd_train(cfg: RunConfig) -> dict:
     pred = model.predict_class(matrix.X)
     cm = confusion_matrix(matrix.labels, pred, class_order(matrix.labels))
     return {
-        "model.json": {**model.to_dict(), "model_kind": model.kind},
+        "model.json": model.to_dict(),
         "train_results.json": {
             "model": tcfg.to_dict(),
             "training": classification_metrics(cm).to_dict(),
@@ -275,8 +277,9 @@ def cmd_train(cfg: RunConfig) -> dict:
     }
 
 
-def _evaluate(cfg: RunConfig, split: str) -> dict:
-    """The results document of the named split plan on the configured table."""
+def cmd_evaluate(cfg: RunConfig) -> dict:
+    """The results document of the configured split plan; a loso split
+    also writes each held-out subject's accuracy and their mean."""
     from .evaluation import (
         grouped_kfold,
         loso_folds,
@@ -286,24 +289,17 @@ def _evaluate(cfg: RunConfig, split: str) -> dict:
 
     matrix = _load_matrix(cfg)
     subjects = sorted(set(matrix.groups))
-    if split == "holdout":
+    if cfg.split == "holdout":
         plan = subject_holdout_split(subjects, cfg.test_fraction, cfg.seed)
-    elif split == "kfold":
+    elif cfg.split == "kfold":
         plan = grouped_kfold(subjects, cfg.folds, cfg.seed)
     else:
         plan = loso_folds(subjects)
     results = run_protocol(matrix, cfg.train_config(), plan)
     results["dataset"] = cfg.features or cfg.manifest
     results["model"] = cfg.train_config().to_dict()
-    return results
-
-
-def cmd_evaluate(cfg: RunConfig) -> dict:
-    return {"results.json": _evaluate(cfg, cfg.split)}
-
-
-def cmd_loso(cfg: RunConfig) -> dict:
-    results = _evaluate(cfg, "loso")
+    if cfg.split != "loso":
+        return {"results.json": results}
     rows = [(f["test_subjects"][0], f["n_windows"], f["metrics"]["accuracy"])
             for f in results["per_fold"]]
     mean = ("mean", None, float(np.mean([acc for *_, acc in rows])))
@@ -341,6 +337,10 @@ def cmd_explain(cfg: RunConfig) -> dict:
     if unknown:
         raise SchemaMismatch(f"label {unknown[0]!r} is not a class of the model: "
                              f"{model.classes}")
+    for i, (got, want) in enumerate(zip_longest(table.schema.names, model.feature_names)):
+        if got != want:
+            raise SchemaMismatch(f"feature column {i} of the table is {got!r}, "
+                                 f"but the model's is {want!r}")
     attributions, audit = explain_table(model, table)
     log.info("explain attributed %d rows (local accuracy ok=%s)",
              audit["rows"], audit["all_rows_within_1e-8"])
@@ -370,7 +370,7 @@ COMMANDS = {
     "extract": cmd_extract,
     "train": cmd_train,
     "evaluate": cmd_evaluate,
-    "loso": cmd_loso,
+    "loso": cmd_evaluate,
     "ablate": cmd_ablate,
     "explain": cmd_explain,
     "synth": cmd_synth,
@@ -415,6 +415,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command is None:
         parser.print_help(sys.stderr)
         return EXIT_CONFIG
+    if args.command == "loso":
+        args.split = "loso"
     overrides = {k: v for k, v in vars(args).items()
                  if k not in ("command", "config")}
     try:

@@ -1,10 +1,13 @@
-"""Subject-aware splitting and classification metrics.
+"""Subject-aware splitting, classification metrics, and the fold runner.
 
 Every split keeps whole subjects on one side: holdout draws a seeded
 subject sample, grouped k-fold deals shuffled subjects round-robin, and
 LOSO gives each subject its own test fold. AUC uses the rank statistic
 (Mann-Whitney scaling, ties at half weight), which is exact under ties and
 invariant to monotone score transforms.
+
+`run_folds` fits every fold: evaluation, grid tuning and the modality
+ablation each give it (matrix, config) candidates and a score function.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .errors import (
     TooFewSubjects,
     UnknownLabel,
 )
+from .parallel import map_ordered
 from .stats import average_ranks
 
 
@@ -30,7 +34,6 @@ class SplitPlan:
 
     name: str
     folds: list[tuple[frozenset, frozenset]]
-    seed: int | None = None
 
     def __post_init__(self):
         for train, test in self.folds:
@@ -54,7 +57,7 @@ def subject_holdout_split(subjects, test_fraction: float, seed: int) -> SplitPla
     n_test = min(max(n_test, 1), len(order) - 1)
     test = frozenset(order[:n_test])
     train = frozenset(order[n_test:])
-    return SplitPlan("holdout", [(train, test)], seed)
+    return SplitPlan("holdout", [(train, test)])
 
 
 def check_fold_count(k: int, n_subjects: int) -> None:
@@ -75,7 +78,7 @@ def grouped_kfold(subjects, k: int, seed: int) -> SplitPlan:
     fold_sets = [frozenset(order[i::k]) for i in range(k)]
     all_subjects = frozenset(subjects)
     folds = [(all_subjects - s, s) for s in fold_sets]
-    return SplitPlan("kfold", folds, seed)
+    return SplitPlan("kfold", folds)
 
 
 def loso_folds(subjects) -> SplitPlan:
@@ -199,25 +202,28 @@ def roc_auc_macro_ovr(scores: np.ndarray, labels, classes: list[str]) -> float:
 def evaluate_fold(matrix, model_cfg, train_subjects, test_subjects):
     """Train on one side of a fold, score the other; returns fold record."""
     from .models import train_model
-    from .models.base import argmax_class
 
     train = matrix.subset(matrix.rows_for_subjects(train_subjects))
     test = matrix.subset(matrix.rows_for_subjects(test_subjects))
     model = train_model(train, model_cfg)
-    # Every family but k-NN predicts the argmax of its scores; k-NN breaks
-    # vote ties by neighbor distance, from the search that gives its scores.
-    if model.kind == "knn":
-        y_pred, scores = model.predict_class(test.X, with_scores=True)
-    else:
-        scores = model.predict_scores(test.X)
-        y_pred = argmax_class(scores, model.classes)
+    y_pred, scores = model.predict_class(test.X, with_scores=True)
     return {
         "test_subjects": sorted(test_subjects),
         "y_true": test.labels,
         "y_pred": y_pred,
         "scores": scores,
-        "classes": model.classes,
     }
+
+
+def run_folds(candidates: list, plan: SplitPlan, score, jobs: int = 1) -> list[list]:
+    """`score(evaluate_fold(matrix, cfg, train, test))` for every (matrix,
+    cfg) candidate on every fold of the plan, on `jobs` forked workers.
+    Returns one list of scores per candidate, in candidate and fold order;
+    `score` runs in the worker, so only its result comes back."""
+    k = len(plan.folds)
+    scores = map_ordered(lambda item: score(evaluate_fold(*item[0], *item[1])),
+                         [(c, fold) for c in candidates for fold in plan.folds], jobs)
+    return [scores[i * k:(i + 1) * k] for i in range(len(candidates))]
 
 
 def _auc(scores, y_true, classes) -> float | None:
@@ -243,8 +249,8 @@ def run_protocol(matrix, model_cfg, plan: SplitPlan) -> dict:
     pooled_true: list = []
     pooled_pred: list = []
     pooled_scores = []
-    for train_subjects, test_subjects in plan.folds:
-        rec = evaluate_fold(matrix, model_cfg, train_subjects, test_subjects)
+    (records,) = run_folds([(matrix, model_cfg)], plan, lambda rec: rec)
+    for rec in records:
         cm = confusion_matrix(rec["y_true"], rec["y_pred"], classes)
         rep = classification_metrics(cm)
         rep.auc = _auc(rec["scores"], rec["y_true"], classes)

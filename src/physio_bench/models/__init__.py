@@ -47,9 +47,7 @@ def predict_proba(model, X: np.ndarray) -> np.ndarray:
 
 
 def model_to_json(model) -> str:
-    doc = model.to_dict()
-    doc["model_kind"] = model.kind
-    return json.dumps(doc, sort_keys=True)
+    return json.dumps(model.to_dict(), sort_keys=True)
 
 
 def model_from_json(text: str):
@@ -109,7 +107,7 @@ def tune_model(data: DataMatrix, cfg: TrainConfig):
     Candidates are scored by mean macro-F1 across folds; the first best in
     declared grid order wins ties. The winner is refit on all rows.
     """
-    from ..evaluation import evaluate_fold, grouped_kfold, macro_f1_score
+    from ..evaluation import grouped_kfold, macro_f1_score, run_folds
 
     grid = cfg.grid if cfg.grid is not None else default_grid(cfg.kind)
     subjects = sorted(set(data.groups))
@@ -117,16 +115,11 @@ def tune_model(data: DataMatrix, cfg: TrainConfig):
         raise ConfigError("tuning needs at least 2 subjects")
     plan = grouped_kfold(subjects, min(cfg.cv_folds, len(subjects)), cfg.seed)
 
-    trace = []
-    best = None
-    for point in _grid_points(grid):
-        candidate = cfg.replace(grid=None, **point)
-        folds = [evaluate_fold(data, candidate, train_subj, test_subj)
-                 for train_subj, test_subj in plan.folds]
-        mean_score = float(np.mean(
-            [macro_f1_score(f["y_true"], f["y_pred"]) for f in folds]))
-        trace.append({"params": point, "macro_f1": mean_score})
-        if best is None or mean_score > best[0]:
-            best = (mean_score, candidate)
-    final = train_model(data, best[1])
-    return final, best[1], trace
+    points = _grid_points(grid)
+    candidates = [cfg.replace(grid=None, **point) for point in points]
+    fold_f1s = run_folds([(data, c) for c in candidates], plan,
+                         lambda rec: macro_f1_score(rec["y_true"], rec["y_pred"]))
+    means = [float(np.mean(f1s)) for f1s in fold_f1s]
+    trace = [{"params": p, "macro_f1": m} for p, m in zip(points, means)]
+    best = candidates[means.index(max(means))]
+    return train_model(data, best), best, trace

@@ -178,7 +178,7 @@ class Model(Codec):
     `models.predict_proba` tells the score-only SVM apart by its absence."""
 
     def to_dict(self) -> dict:
-        return {**super().to_dict(), "kind": self.kind}
+        return {**super().to_dict(), "kind": self.kind, "model_kind": self.kind}
 
     def _rows(self, X: np.ndarray) -> np.ndarray:
         """X as float64 rows, with exactly one column per feature."""
@@ -192,8 +192,12 @@ class Model(Codec):
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
         return self.predict_proba(X)
 
-    def predict_class(self, X: np.ndarray) -> np.ndarray:
-        return argmax_class(self.predict_scores(X), self.classes)
+    def predict_class(self, X: np.ndarray, with_scores: bool = False):
+        """Highest-scoring class per row. With ``with_scores``, returns
+        ``(labels, scores)`` from the same scoring pass."""
+        scores = self.predict_scores(X)
+        labels = argmax_class(scores, self.classes)
+        return (labels, scores) if with_scores else labels
 
 
 @dataclass
@@ -228,12 +232,15 @@ class TrainConfig:
             raise ConfigError("growth must be 'depth' or 'leaf'")
         if self.splits not in ("exact", "hist"):
             raise ConfigError("splits must be 'exact' or 'hist'")
-        # `not x > 0` also rejects NaN, which every comparison fails.
-        for name in ("learning_rate", "reg_lambda", "svm_c", "l2"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive")
-        if self.svm_sigma is not None and not self.svm_sigma > 0:
-            raise ConfigError("svm_sigma must be positive")
+        # `not x > 0` also rejects NaN, which every comparison fails. An
+        # infinite svm_c is the hard-margin SVM; every other infinite value
+        # gives a constant or non-finite model.
+        if not self.svm_c > 0:
+            raise ConfigError("svm_c must be positive")
+        for name in ("learning_rate", "reg_lambda", "l2", "svm_sigma"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < np.inf:
+                raise ConfigError(f"{name} must be positive and finite")
         # Zero boosting rounds is the prior-only model; a forest needs a tree.
         # Below its least, a tree size would act as another value.
         for name, least in (("n_trees", 1 if self.kind == "bagging" else 0),

@@ -46,6 +46,8 @@ class WindowPolicy:
     label_rule: str = "strict"
 
     def __post_init__(self):
+        if not self.window_s < np.inf:
+            raise ConfigError("window_s must be finite")
         if not (0 < self.stride_s <= self.window_s):
             raise ConfigError("need 0 < stride_s <= window_s")
         if not (0 < self.min_fill <= 1):

@@ -431,6 +431,23 @@ class TestEvaluateLoso:
             assert a[key] == b[key], key
 
 
+    def test_loso_writes_the_bytes_of_evaluate_split_loso(self, tmp_path, monkeypatch):
+        # `loso` runs the loso split whatever --split says, and records it.
+        _feature_csv(tmp_path / "t.csv", "stress_16")
+        common = ["--features", "t.csv", "--trees", "5", "--seed", "3"]
+        runs = {"a": ["loso"], "b": ["evaluate", "--split", "loso"],
+                "c": ["loso", "--split", "kfold"], "d": ["evaluate"]}
+        for out, argv in runs.items():
+            assert _run(tmp_path, monkeypatch, argv + common + ["--out", out]) == 0
+        for name in ("results.json", "loso_subjects.csv"):
+            for out in ("b", "c"):
+                assert (tmp_path / out / name).read_bytes() == \
+                    (tmp_path / "a" / name).read_bytes(), (out, name)
+        doc = json.loads((tmp_path / "a/results.json").read_text())
+        assert doc["provenance"]["config"]["split"] == doc["split"] == "loso"
+        assert sorted(p.name for p in (tmp_path / "d").iterdir()) == ["results.json"]
+
+
 class TestFeatureTableLoader:
     def test_explain_missing_features_is_config_error(self, tmp_path, monkeypatch,
                                                       capfd):
@@ -476,6 +493,26 @@ class TestTrainExplain:
         assert len(doc["global_importance"]) == 16
         att_lines = (tmp_path / "run/attributions.csv").read_text().splitlines()
         assert att_lines[1] == "subject_id,window_start,class,feature,value,shap"
+
+    @pytest.mark.parametrize("model", ["boosting", "logistic"])
+    def test_explain_rejects_a_table_of_other_columns(self, tmp_path, monkeypatch, capfd,
+                                                      model):
+        # stress_16 and cogload_16 both have 16 columns; they first differ
+        # at column 6.
+        _feature_csv(tmp_path / "stress.csv", "stress_16")
+        _feature_csv(tmp_path / "cog.csv", "cogload_16")
+        assert _run(tmp_path, monkeypatch, [
+            "train", "--features", "stress.csv", "--model", model, "--trees", "3",
+            "--out", "run"]) == 0
+        code = _run(tmp_path, monkeypatch, [
+            "explain", "--model-path", "run/model.json", "--features", "cog.csv",
+            "--schema", "cogload_16", "--out", "exp"])
+        assert code == 3
+        err = _error(capfd)
+        assert err["type"] == "SchemaMismatch"
+        assert "column 6" in err["message"]
+        assert "'bvp_sdnn'" in err["message"] and "'hr_mean'" in err["message"]
+        assert not (tmp_path / "exp").exists()
 
     def test_train_then_explain_bagging_model(self, synth_data, tmp_path, monkeypatch):
         from test_explain import _brute_force_shap
@@ -873,19 +910,34 @@ class TestConfigHandling:
                                   "nan,inf,-inf,0.5,1.23456789e+11\n")
         assert csv_text([]) == ""
 
-    @pytest.mark.parametrize(
-        "flag", ["--learning-rate", "--reg-lambda", "--svm-c", "--l2", "--svm-sigma"])
+    @pytest.mark.parametrize("flag, value", [
+        *(pytest.param(flag, "nan", id=flag) for flag in (
+            "--learning-rate", "--reg-lambda", "--svm-c", "--l2", "--svm-sigma")),
+        # An infinite --svm-c is the hard-margin SVM, a valid value.
+        *(pytest.param(flag, "inf", id=flag + "-inf") for flag in (
+            "--learning-rate", "--reg-lambda", "--l2", "--svm-sigma"))])
     def test_nan_hyperparameter_is_config_error(self, tmp_path, monkeypatch,
-                                                capfd, flag):
+                                                capfd, flag, value):
         _feature_csv(tmp_path / "t.csv", "stress_16")
         code = _run(tmp_path, monkeypatch, [
-            "evaluate", "--features", "t.csv", "--trees", "3", flag, "nan",
+            "evaluate", "--features", "t.csv", "--trees", "3", flag, value,
             "--out", "run"])
         assert code == 2
         err = _error(capfd)
         assert err["type"] == "ConfigError"
         assert flag[2:].replace("-", "_") in err["message"]
         assert not (tmp_path / "run/results.json").exists()
+
+    def test_infinite_window_is_config_error(self, e4_cohort, tmp_path, monkeypatch,
+                                             capfd):
+        code = _run(tmp_path, monkeypatch, [
+            "extract", "--manifest", str(e4_cohort / "manifest.json"),
+            "--window-s", "inf", "--out", "run"])
+        assert code == 2
+        err = _error(capfd)
+        assert err["type"] == "ConfigError"
+        assert "window_s" in err["message"]
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("flag, value", [
         ("--n-subjects", "-2"), ("--n-subjects", "0"), ("--duration-s", "nan"),

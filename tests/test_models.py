@@ -1160,6 +1160,14 @@ class TestSerialization:
             assert np.array_equal(model.predict_class(query),
                                   clone.predict_class(query))
 
+    def test_to_dict_is_the_model_json_document(self):
+        data = _blobs(n=40, gap=1.5, seed=16)
+        for kind in ("logistic", "knn", "bagging", "boosting", "svm"):
+            model = train_model(data, TrainConfig(kind=kind, n_trees=5))
+            doc = model.to_dict()
+            assert doc["model_kind"] == doc["kind"] == model.kind
+            assert model_to_json(model) == json.dumps(doc, sort_keys=True)
+
     @pytest.mark.parametrize("n_classes", [2, 3])
     def test_json_round_trip_is_byte_identical(self, n_classes):
         data = _blobs(n=48, gap=1.5, seed=18)

@@ -1,6 +1,6 @@
 """`parallel.map_ordered` and the `--jobs` paths built on it: the fits of
-`ablate`, the sessions of `synth`, and the sessions that `extract`,
-`summary` and a `--manifest` feed load.
+`ablate` (through `evaluation.run_folds`), the sessions of `synth`, and
+the sessions that `extract`, `summary` and a `--manifest` feed load.
 
 Pool sizing is checked through a stand-in executor that runs the workers'
 code in this process, so those tests start no process. The others start
@@ -17,6 +17,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import physio_bench
@@ -126,6 +127,48 @@ class TestForkedMap:
                               text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "broken"
+
+
+def _fold_candidates():
+    """Four (matrix, config) candidates and a four-subject loso plan."""
+    from physio_bench.evaluation import loso_folds
+    from physio_bench.models import DataMatrix, TrainConfig
+
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(60, 3))
+    y = np.where(X[:, 0] + rng.normal(size=60) > 0, "b", "a")
+    groups = np.array([f"s{i % 4}" for i in range(60)], dtype=object)
+    data = DataMatrix(X, y, groups, ["f0", "f1", "f2"])
+    candidates = [(data, TrainConfig(kind="logistic", l2=l2)) for l2 in (0.1, 1.0, 10.0)]
+    candidates.append((data.select_columns(["f0"]), TrainConfig(kind="knn", knn_k=4)))
+    return candidates, loso_folds(sorted(set(groups)))
+
+
+def _fold_score(rec):
+    return rec["test_subjects"], list(rec["y_pred"]), rec["scores"].tobytes()
+
+
+class TestRunFolds:
+    def test_scores_come_back_per_candidate_in_fold_order(self):
+        from physio_bench.evaluation import evaluate_fold, run_folds
+
+        candidates, plan = _fold_candidates()
+        expected = [[_fold_score(evaluate_fold(matrix, cfg, train, test))
+                     for train, test in plan.folds] for matrix, cfg in candidates]
+        assert len({str(scores) for scores in expected}) == len(candidates)
+        for jobs in (1, 2):
+            assert run_folds(candidates, plan, _fold_score, jobs) == expected
+            assert multiprocessing.active_children() == []
+
+    def test_one_pool_for_every_candidate_fold_pair(self, pool_sizes):
+        from physio_bench.evaluation import run_folds
+
+        candidates, plan = _fold_candidates()
+        serial = run_folds(candidates, plan, _fold_score)
+        assert pool_sizes == []
+        assert run_folds(candidates, plan, _fold_score, 8) == serial
+        assert run_folds(candidates[:1], plan, _fold_score, 8) == serial[:1]
+        assert pool_sizes == [8, 4]
 
 
 class TestAblateJobs:
