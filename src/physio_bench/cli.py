@@ -40,11 +40,10 @@ EXIT_DATA = 3
 
 #: Fields that never change results, excluded from provenance so reruns
 #: stay byte-identical. `jobs` is the number of forked workers that run
-#: the (config, fold) fits of ablate, the sessions of synth, and the
-#: sessions that extract, summary and every --manifest feed load. The
-#: evaluate, loso and tune folds go through the same `run_folds` as
-#: ablate's, but on one worker. Results are put back in fit, subject or
-#: manifest order, so it never changes an artifact.
+#: the fold fits of evaluate, loso, train --tune and ablate (all through
+#: `run_folds`), the sessions of synth, and the sessions that extract,
+#: summary and every --manifest feed load. Results are put back in fit,
+#: subject or manifest order, so it never changes an artifact.
 _EXECUTION_FIELDS = {"out", "jobs"}
 
 #: RunConfig field -> the stage-config field it sets, where the names
@@ -124,6 +123,7 @@ class RunConfig:
         if self.duration_s is not None and not (
                 math.isfinite(self.duration_s) and self.duration_s >= 1):
             raise ConfigError("duration_s must be finite and >= 1")
+        self.window_policy()  # validates window fields
         self.feature_config()  # validates detector fields
         self.train_config()  # validates model fields
 
@@ -262,7 +262,7 @@ def cmd_train(cfg: RunConfig) -> dict:
     tcfg = cfg.train_config()
     trace = None
     if cfg.tune:
-        model, tcfg, trace = tune_model(matrix, tcfg)
+        model, tcfg, trace = tune_model(matrix, tcfg, cfg.jobs)
     else:
         model = train_model(matrix, tcfg)
     pred = model.predict_class(matrix.X)
@@ -295,7 +295,7 @@ def cmd_evaluate(cfg: RunConfig) -> dict:
         plan = grouped_kfold(subjects, cfg.folds, cfg.seed)
     else:
         plan = loso_folds(subjects)
-    results = run_protocol(matrix, cfg.train_config(), plan)
+    results = run_protocol(matrix, cfg.train_config(), plan, cfg.jobs)
     results["dataset"] = cfg.features or cfg.manifest
     results["model"] = cfg.train_config().to_dict()
     if cfg.split != "loso":

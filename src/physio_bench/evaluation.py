@@ -7,7 +7,8 @@ LOSO gives each subject its own test fold. AUC uses the rank statistic
 invariant to monotone score transforms.
 
 `run_folds` fits every fold: evaluation, grid tuning and the modality
-ablation each give it (matrix, config) candidates and a score function.
+ablation each give it (matrix, config) candidates, a score function and
+their `jobs`, and their fits run on that many forked workers.
 """
 
 from __future__ import annotations
@@ -239,9 +240,11 @@ def _auc(scores, y_true, classes) -> float | None:
         return None
 
 
-def run_protocol(matrix, model_cfg, plan: SplitPlan) -> dict:
-    """Run a split plan fold by fold and aggregate two ways: mean +/- std
-    across folds and pooled-prediction metrics."""
+def run_protocol(matrix, model_cfg, plan: SplitPlan, jobs: int = 1) -> dict:
+    """Run a split plan's folds on `jobs` forked workers and aggregate two
+    ways: mean +/- std across folds and pooled-prediction metrics. Each
+    worker sends back only its fold record; records come back in fold
+    order."""
     from .models.base import class_order
 
     classes = class_order(matrix.labels)
@@ -249,7 +252,7 @@ def run_protocol(matrix, model_cfg, plan: SplitPlan) -> dict:
     pooled_true: list = []
     pooled_pred: list = []
     pooled_scores = []
-    (records,) = run_folds([(matrix, model_cfg)], plan, lambda rec: rec)
+    (records,) = run_folds([(matrix, model_cfg)], plan, lambda rec: rec, jobs)
     for rec in records:
         cm = confusion_matrix(rec["y_true"], rec["y_pred"], classes)
         rep = classification_metrics(cm)

@@ -101,11 +101,13 @@ def _grid_points(grid: dict[str, list]) -> list[dict]:
     return points
 
 
-def tune_model(data: DataMatrix, cfg: TrainConfig):
+def tune_model(data: DataMatrix, cfg: TrainConfig, jobs: int = 1):
     """Grid search under grouped k-fold CV; returns (model, best_cfg, trace).
 
-    Candidates are scored by mean macro-F1 across folds; the first best in
-    declared grid order wins ties. The winner is refit on all rows.
+    The (grid point, fold) fits run on `jobs` forked workers, each of which
+    sends back only its macro-F1. Candidates are scored by mean macro-F1
+    across folds; the first best in declared grid order wins ties. The
+    winner is refit on all rows, in this process.
     """
     from ..evaluation import grouped_kfold, macro_f1_score, run_folds
 
@@ -118,7 +120,7 @@ def tune_model(data: DataMatrix, cfg: TrainConfig):
     points = _grid_points(grid)
     candidates = [cfg.replace(grid=None, **point) for point in points]
     fold_f1s = run_folds([(data, c) for c in candidates], plan,
-                         lambda rec: macro_f1_score(rec["y_true"], rec["y_pred"]))
+                         lambda rec: macro_f1_score(rec["y_true"], rec["y_pred"]), jobs)
     means = [float(np.mean(f1s)) for f1s in fold_f1s]
     trace = [{"params": p, "macro_f1": m} for p, m in zip(points, means)]
     best = candidates[means.index(max(means))]

@@ -939,6 +939,24 @@ class TestConfigHandling:
         assert "window_s" in err["message"]
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command", ["evaluate", "train", "ablate"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--window-s", "nan"), ("--window-s", "inf"), ("--stride-s", "-4"),
+        ("--min-fill", "7"), ("--label-rule", "mean")])
+    def test_bad_window_field_is_config_error_with_features(
+            self, tmp_path, monkeypatch, capfd, command, flag, value):
+        # A command fed --features windows nothing, yet its config must hold
+        # a valid window policy, as an extract's does.
+        _feature_csv(tmp_path / "t.csv", "stress_16")
+        code = _run(tmp_path, monkeypatch, [
+            command, "--features", "t.csv", "--trees", "3", flag, value, "--out", "run"])
+        assert code == 2
+        (line,) = [ln for ln in capfd.readouterr().err.splitlines() if ln.startswith("{")]
+        err = json.loads(line)["error"]
+        assert err["type"] == "ConfigError"
+        assert flag[2:].replace("-", "_") in err["message"]
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--n-subjects", "-2"), ("--n-subjects", "0"), ("--duration-s", "nan"),
         ("--duration-s", "inf"), ("--duration-s", "-5"), ("--duration-s", "0.5"),

@@ -1,11 +1,13 @@
-"""`parallel.map_ordered` and the `--jobs` paths built on it: the fits of
-`ablate` (through `evaluation.run_folds`), the sessions of `synth`, and
-the sessions that `extract`, `summary` and a `--manifest` feed load.
+"""`parallel.map_ordered` and the `--jobs` paths built on it: the fold
+fits of `evaluate`, `loso`, `train --tune` and `ablate` (all through
+`evaluation.run_folds`), the sessions of `synth`, and the sessions that
+`extract`, `summary` and a `--manifest` feed load.
 
 Pool sizing is checked through a stand-in executor that runs the workers'
 code in this process, so those tests start no process. The others start
-at most two forked workers, except the `--jobs 8` session runs, which
-start one per session of a five-session cohort.
+at most two forked workers, except the `--jobs 8` runs, which start one
+per session of a five-session cohort, one per subject of a loso split,
+and up to eight for a tuning grid.
 """
 
 import concurrent.futures
@@ -171,6 +173,118 @@ class TestRunFolds:
         assert pool_sizes == [8, 4]
 
 
+KINDS = ("boosting", "bagging", "logistic", "knn", "svm")
+
+
+@pytest.fixture(scope="module")
+def fold_table(tmp_path_factory):
+    """A four-subject stress_16 table for the fold pools."""
+    path = tmp_path_factory.mktemp("folds") / "t.csv"
+    _feature_csv(path, "stress_16", n_subjects=4)
+    return path
+
+
+def _outputs(root: Path) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+class TestFoldJobs:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--split", "holdout"], ["evaluate", "--split", "kfold"],
+        ["evaluate", "--split", "loso"], ["train", "--tune"]],
+        ids=["holdout", "kfold", "loso", "tune"])
+    def test_every_jobs_level_writes_the_same_bytes_and_leaves_no_worker(
+            self, fold_table, tmp_path, monkeypatch, argv, kind):
+        written = {}
+        for jobs in ("1", "2", "8"):
+            assert _run(tmp_path, monkeypatch, argv + [
+                "--features", str(fold_table), "--model", kind, "--trees", "3",
+                "--folds", "2", "--seed", "5", "--jobs", jobs, "--out", "j" + jobs]) == 0
+            assert multiprocessing.active_children() == []
+            written[jobs] = _outputs(tmp_path / ("j" + jobs))
+        assert len(written["1"]) == (1 if argv[-1] in ("holdout", "kfold") else 2)
+        assert written["2"] == written["1"]
+        assert written["8"] == written["1"]
+
+    @pytest.mark.parametrize("argv, sizes", [
+        (["evaluate", "--jobs", "8"], []),
+        (["evaluate", "--split", "loso", "--jobs", "10000"], [4]),
+        (["loso", "--jobs", "3"], [3]),
+        (["evaluate", "--split", "kfold", "--jobs", "10000"], [2]),
+        (["train", "--tune", "--jobs", "10000"], [3 * 2]),
+        (["train", "--tune", "--jobs", "5"], [5]),
+        (["train", "--jobs", "8"], []),
+    ], ids=["holdout", "loso", "loso-capped", "kfold", "tune", "tune-capped", "train"])
+    def test_pool_size_is_jobs_capped_by_fits(self, pool_sizes, fold_table, tmp_path,
+                                              monkeypatch, argv, sizes):
+        # The tune runs 3 grid points (logistic l2) on 2 folds.
+        assert _run(tmp_path, monkeypatch, argv + [
+            "--features", str(fold_table), "--model", "logistic", "--folds", "2",
+            "--out", "run"]) == 0
+        assert pool_sizes == sizes
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--split", "loso"], ["train", "--tune", "--folds", "2"]],
+        ids=["loso", "tune"])
+    def test_one_job_never_imports_multiprocessing(self, fold_table, tmp_path, argv):
+        assert not _imports_multiprocessing(tmp_path, argv + [
+            "--features", str(fold_table), "--model", "logistic", "--out", "run"])
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--split", "loso"], ["train", "--tune", "--folds", "2"]],
+        ids=["loso", "tune"])
+    def test_worker_error_matches_serial_error(self, tmp_path, monkeypatch, capfd, argv):
+        _two_class_split_table(tmp_path / "t.csv")
+        errors = {}
+        for jobs in ("1", "2"):
+            code = _run(tmp_path, monkeypatch, argv + [
+                "--features", "t.csv", "--trees", "3", "--jobs", jobs, "--out", "j" + jobs])
+            errors[jobs] = code, capfd.readouterr().err.strip().splitlines()[-1]
+            assert multiprocessing.active_children() == []
+        assert errors["1"] == errors["2"]
+        code, err = errors["1"]
+        assert code == 3
+        assert json.loads(err)["error"]["type"] == "SingleClass"
+
+
+def _tuned(grid, jobs):
+    from physio_bench.models import TrainConfig, tune_model
+
+    candidates, _ = _fold_candidates()
+    data, _ = candidates[0]
+    model, best, trace = tune_model(
+        data, TrainConfig(kind="boosting", n_trees=4, cv_folds=3, grid=grid), jobs)
+    return trace, best, model.to_dict()
+
+
+class TestTuneJobs:
+    @pytest.mark.parametrize("grid", [
+        {"n_trees": [5, 3]}, {"n_trees": [3, 3]}, {"learning_rate": [0.3, 0.1]}],
+        ids=["descending", "repeated", "absent"])
+    def test_two_jobs_tune_to_the_same_model(self, grid):
+        # No CLI input sets a grid, so these run in-process.
+        serial = _tuned(grid, 1)
+        assert _tuned(grid, 2) == serial
+        assert multiprocessing.active_children() == []
+        trace, best, _ = serial
+        assert [t["params"] for t in trace] == [
+            {key: v} for key, values in grid.items() for v in values]
+        assert best.grid is None
+
+
+def _two_class_split_table(path):
+    """A two-subject table whose class b is only in s1, so that every fit
+    of a two-fold split trains on one class: one fold on ['a'], the other
+    on ['b']. The first fit's error is the one reported."""
+    _feature_csv(path, "stress_16", n_subjects=2)
+    lines = path.read_text().splitlines()
+    relabelled = [lines[0]] + [
+        ",".join([f[0], f[1], "b" if f[0] == "s1" else "a"] + f[3:])
+        for f in (ln.split(",") for ln in lines[1:])]
+    path.write_text("\n".join(relabelled) + "\n")
+
+
 class TestAblateJobs:
     def test_two_jobs_write_the_same_bytes_and_leave_no_worker(
             self, synth_data, tmp_path, monkeypatch):
@@ -187,15 +301,7 @@ class TestAblateJobs:
                 (tmp_path / "ab2" / name).read_bytes()
 
     def test_worker_error_matches_serial_error(self, tmp_path, monkeypatch, capfd):
-        # Class b is only in s1, so with 2 folds every fit trains on one
-        # class: one fold on ['a'], the other on ['b']. The first fit's
-        # error is the one reported.
-        _feature_csv(tmp_path / "t.csv", "stress_16", n_subjects=2)
-        lines = (tmp_path / "t.csv").read_text().splitlines()
-        relabelled = [lines[0]] + [
-            ",".join([f[0], f[1], "b" if f[0] == "s1" else "a"] + f[3:])
-            for f in (ln.split(",") for ln in lines[1:])]
-        (tmp_path / "t.csv").write_text("\n".join(relabelled) + "\n")
+        _two_class_split_table(tmp_path / "t.csv")
         errors = {}
         for jobs in ("1", "2"):
             code = _run(tmp_path, monkeypatch, ["ablate", "--features", "t.csv",
@@ -253,9 +359,7 @@ class TestSynthJobs:
             assert _run(tmp_path, monkeypatch,
                         self.SYNTH + ["--jobs", jobs, "--out", "j" + jobs]) == 0
             assert multiprocessing.active_children() == []
-        one, two = (
-            {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
-            for root in (tmp_path / "j1", tmp_path / "j2"))
+        one, two = _outputs(tmp_path / "j1"), _outputs(tmp_path / "j2")
         assert len(one) == 1 + 3 * 6  # the manifest and six files per session
         assert one == two
 
@@ -335,8 +439,9 @@ class TestSessionJobs:
         (["extract", "--jobs", "10000"], [5]),
         (["summary", "--jobs", "10000"], [5]),
         (["ablate", "--folds", "3", "--trees", "3", "--jobs", "10000"], [5, 9 * 3]),
+        (["loso", "--model", "logistic", "--jobs", "10000"], [5, 3]),
         (["extract"], []),
-    ], ids=["extract", "summary", "ablate-fed-manifest", "one-job"])
+    ], ids=["extract", "summary", "ablate-fed-manifest", "loso-fed-manifest", "one-job"])
     def test_one_worker_per_session_at_most(self, pool_sizes, session_cohort, tmp_path,
                                             monkeypatch, argv, sizes):
         # A model command fed --manifest runs the extract pool to its end

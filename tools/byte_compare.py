@@ -5,7 +5,7 @@
 
 `run` writes the quick-start command set of two cohorts into OUT, importing
 the package from CHECKOUT/src (default: this checkout); commands run inside
-OUT on relative paths. It leaves 186 files (93 per cohort). `compare` names
+OUT on relative paths. It leaves 196 files (98 per cohort). `compare` names
 each file that differs between two such directories, ignoring only the
 `model_path` provenance string.
 """
@@ -45,9 +45,11 @@ def commands(name, preset, n, duration, schema):
         yield ["evaluate", *feats, "--model", kind, "--out", f"{name}/eval-{kind}"]
         trees = ["--trees", "200"] if kind == "boosting" else []
         yield ["train", *feats, "--model", kind, *trees, "--out", f"{name}/train-{kind}"]
+    yield ["evaluate", *feats, "--model", "boosting", "--split", "kfold",
+           "--out", f"{name}/eval-kfold-boosting"]
     yield ["loso", *feats, "--out", f"{name}/loso"]
     yield ["ablate", *feats, "--folds", "5", "--out", f"{name}/ablate"]
-    for kind in ("knn", "svm", "bagging"):
+    for kind in ("knn", "svm", "bagging", "boosting", "logistic"):
         yield ["train", *feats, "--tune", "--model", kind, "--out", f"{name}/tune-{kind}"]
     yield ["train", *feats, "--trees", "200", "--growth", "leaf", "--split-mode", "hist",
            "--out", f"{name}/train-leaf-hist"]
